@@ -491,3 +491,98 @@ fn installed_recorders_leave_gc_stats_byte_identical() {
         );
     }
 }
+
+/// Replaces every `"wall_ns":<digits>` value with 0: host time is the
+/// only nondeterministic field in a serial stream.
+fn zero_wall_ns(doc: &str) -> String {
+    const KEY: &str = "\"wall_ns\":";
+    let mut out = String::with_capacity(doc.len());
+    let mut rest = doc;
+    while let Some(at) = rest.find(KEY) {
+        let value = &rest[at + KEY.len()..];
+        let digits = value.len() - value.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        out.push_str(&rest[..at + KEY.len()]);
+        out.push('0');
+        rest = &value[digits..];
+    }
+    out.push_str(rest);
+    out
+}
+
+fn recorded_jsonl(kind: CollectorKind, config: &GcConfig, run: fn(&mut Vm), bench: &str) -> String {
+    let recorder = Box::new(RingRecorder::with_capacity(1 << 18));
+    let mut vm = build_vm_with_recorder(kind, config, recorder);
+    run(&mut vm);
+    vm.finish();
+    let events =
+        RingRecorder::drain_events_from(vm.recorder_mut()).expect("a RingRecorder was installed");
+    zero_wall_ns(&jsonl::render(
+        kind.label(),
+        bench,
+        150_000_000,
+        &[],
+        &events,
+    ))
+}
+
+/// The serial telemetry stream is pinned byte for byte (modulo
+/// `wall_ns`): event order, phase boundaries, census rows and site
+/// samples of every plan, plus one adaptive lane with site flips.
+///
+/// Regenerate the golden (only when a deliberate change to the stream
+/// is intended) with:
+///
+/// ```text
+/// UPDATE_GOLDEN=1 cargo test -p tilgc-core --test telemetry serial_stream_matches_golden
+/// ```
+#[test]
+fn serial_stream_matches_golden() {
+    let mut actual = String::new();
+    for kind in CollectorKind::ALL {
+        actual.push_str(&recorded_jsonl(
+            kind,
+            &config_for(kind),
+            workload,
+            "telemetry-test",
+        ));
+    }
+    let mut policy = PretenurePolicy::new();
+    policy.add_site(SiteId::new(CELL_SITE));
+    let adaptive = GcConfig::new()
+        .heap_budget_bytes(256 << 10)
+        .nursery_bytes(8 << 10)
+        .pretenure(policy)
+        .adaptive(tilgc_core::AdaptiveConfig::default());
+    actual.push_str(&recorded_jsonl(
+        CollectorKind::GenerationalStackPretenure,
+        &adaptive,
+        adaptive_workload,
+        "adaptive-test",
+    ));
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/serial_telemetry.jsonl");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {} ({e})", path.display()));
+    if let Some((n, (a, g))) = actual
+        .lines()
+        .zip(golden.lines())
+        .enumerate()
+        .find(|(_, (a, g))| a != g)
+    {
+        panic!(
+            "serial telemetry diverged at line {}:\n  actual: {a}\n  golden: {g}",
+            n + 1
+        );
+    }
+    assert_eq!(
+        actual.lines().count(),
+        golden.lines().count(),
+        "serial telemetry line count diverged from golden"
+    );
+}
