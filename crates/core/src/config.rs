@@ -2,8 +2,7 @@
 //!
 //! A [`GcConfig`] is the input to the plan constructors
 //! ([`SemispacePlan::new`](crate::SemispacePlan::new),
-//! [`GenerationalPlan::new`](crate::GenerationalPlan::new),
-//! [`PretenuringPlan::new`](crate::PretenuringPlan::new)) and to the
+//! [`GenerationalPlan::new`](crate::GenerationalPlan::new)) and to the
 //! [`build_collector`](crate::build_collector) convenience wrapper,
 //! which adjusts the marker/pretenure fields per
 //! [`CollectorKind`](crate::CollectorKind) before delegating to them.

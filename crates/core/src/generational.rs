@@ -10,43 +10,35 @@
 //! mark-sweep [`LargeObjectSpace`]. Intergenerational stores are caught
 //! by the mutator's write barrier and filtered here at each collection.
 //!
-//! With a [`MarkerPolicy`] enabled, stack scans reuse cached decodes for
-//! the unchanged stack prefix; because survivors are promoted immediately,
-//! *cached frames contribute no roots at all to a minor collection* —
-//! everything they reference is already tenured. This is the mechanism
-//! behind the paper's 67–74 % GC-time reductions on deep-stack programs.
+//! With a [`MarkerPolicy`](crate::MarkerPolicy) enabled, stack scans
+//! reuse cached decodes for the unchanged stack prefix; because
+//! survivors are promoted immediately, *cached frames contribute no
+//! roots at all to a minor collection* — everything they reference is
+//! already tenured. This is the mechanism behind the paper's 67–74 %
+//! GC-time reductions on deep-stack programs.
 //!
-//! With a [`PretenuredRegion`] composed in (see
-//! [`PretenuringPlan`](crate::PretenuringPlan)), allocations from
-//! designated sites go straight into the tenured generation; the freshly
+//! With a [`PretenuredRegion`] composed in (a [`PretenurePolicy`] in the
+//! configuration: the paper's §6 column), allocations from designated
+//! sites go straight into the tenured generation; the freshly
 //! pretenured objects are *scanned in place* at the next collection
 //! ("this is a win over copying since copying objects is slower than
 //! only scanning them"), unless the §7.2 analysis marked their site
 //! no-scan.
 
-use std::time::Instant;
-
 use tilgc_mem::{Addr, BudgetSnapshot, GcError, Memory, Space, SpaceRange};
-use tilgc_obs::{
-    CollectionBegin, DegradationBegin, DegradationEnd, Event, GcPhase, HeapCensus, PhaseTimer,
-    SiteDemote, SitePromote, SiteWindow, SpaceCensus, TelemetryAcc,
-};
+use tilgc_obs::{Event, GcPhase, SiteDemote, SitePromote, SiteWindow};
 use tilgc_runtime::{
-    AllocShape, BarrierEntry, CollectReason, CollectionInspection, GcStats, HeapProfile,
+    AllocShape, BarrierEntry, CollectReason, CollectionInspection, Collector, GcStats, HeapProfile,
     MutatorState,
 };
 
 use crate::adaptive::AdaptivePretenure;
-use crate::config::{GcConfig, MarkerPolicy, PretenurePolicy};
-use crate::evac::{poison_range, sweep_profile_deaths, Evacuator, FaultOutcome};
+use crate::config::{GcConfig, PretenurePolicy};
+use crate::cycle::{census_row, Cycle, CycleState};
+use crate::evac::{poison_range, sweep_profile_deaths, Evacuator};
 use crate::governor::{PressureRung, PressureSession};
-use crate::plan::Plan;
-use crate::roots::{append_cached_roots, scan_stack, ScanCache};
-use crate::scheduler::WorkerFaultSpec;
 use crate::space::{CopySemantics, CopySpace, PretenuredRegion};
-use crate::util::{
-    alloc_in_space, build_collection_end, build_inspection, materialize, reason_str,
-};
+use crate::util::{alloc_in_space, materialize, reason_str};
 use crate::LargeObjectSpace;
 
 /// The two-generation plan of §2.1.
@@ -67,8 +59,6 @@ pub struct GenerationalPlan {
     major_threshold_words: usize,
     /// §7.2 tenure threshold (0 = immediate promotion).
     tenure_threshold: u8,
-    marker_policy: MarkerPolicy,
-    cache: Option<ScanCache>,
     pretenured: Option<PretenuredRegion>,
     /// Online adaptive pretenuring (the closed telemetry→policy loop):
     /// promotes and demotes sites mid-run from observed survival. When
@@ -94,9 +84,6 @@ pub struct GenerationalPlan {
     /// Reclaim ratio of the most recent major collection (1.0 = all
     /// tenured data died).
     last_major_reclaim: f64,
-    /// Sliding window: majors among the last 16 collections (low 16 bits,
-    /// one bit per collection).
-    recent_major_bits: u32,
     /// Collections spent in semispace mode since entering; the mode is
     /// re-evaluated ("probation") every 32.
     mode_age: u32,
@@ -104,20 +91,7 @@ pub struct GenerationalPlan {
     /// has already been spent for this plan's lifetime.
     rebalanced: bool,
     profile: Option<HeapProfile>,
-    stats: GcStats,
-    inspection: Option<CollectionInspection>,
-    /// Telemetry accumulator, allocated lazily the first time a
-    /// collection or allocation runs with an enabled recorder installed.
-    telem: Option<TelemetryAcc>,
-    workers: usize,
-    packet_reorder: bool,
-    /// Injected worker fault, armed until its one shot fires (the spec
-    /// is per-run, not per-collection).
-    worker_fault: Option<WorkerFaultSpec>,
-    fault_fired: bool,
-    watchdog_ms: Option<u64>,
-    worker_cycle_budget: Option<u64>,
-    track_ttsp: bool,
+    gc: CycleState,
 }
 
 impl GenerationalPlan {
@@ -170,8 +144,6 @@ impl GenerationalPlan {
             tenured_target_liveness: config.tenured_target_liveness,
             major_threshold_words: 0,
             tenure_threshold: config.tenure_threshold,
-            marker_policy: config.marker_policy,
-            cache: config.marker_policy.is_enabled().then(ScanCache::default),
             // The adaptive loop needs a region to route promoted sites
             // into even when no static (profile-derived) policy seeds it.
             pretenured: config
@@ -188,20 +160,10 @@ impl GenerationalPlan {
             adaptive_major: config.adaptive_major,
             semispace_mode: false,
             last_major_reclaim: 0.0,
-            recent_major_bits: 0,
             mode_age: 0,
             rebalanced: false,
             profile: config.profiling.then(HeapProfile::new),
-            stats: GcStats::default(),
-            inspection: None,
-            telem: None,
-            workers: config.workers,
-            packet_reorder: config.packet_reorder,
-            worker_fault: config.worker_fault,
-            fault_fired: false,
-            watchdog_ms: config.watchdog_ms,
-            worker_cycle_budget: config.worker_cycle_budget,
-            track_ttsp: config.track_ttsp,
+            gc: CycleState::new(config, config.adaptive.is_some()),
         };
         c.apply_limits(0);
         c
@@ -247,144 +209,20 @@ impl GenerationalPlan {
         }
     }
 
-    /// Starts a collection's telemetry, if a recorder is installed:
-    /// emits the begin event and returns the phase timer. Returns `None`
-    /// (and does nothing at all) under the default disabled recorder.
-    fn begin_telemetry(
-        &mut self,
-        m: &mut MutatorState,
-        reason: &'static str,
-        major: bool,
-        depth_at_gc: usize,
-    ) -> Option<PhaseTimer> {
-        if !m.recorder.is_enabled() {
-            return None;
-        }
-        self.telem
-            .get_or_insert_with(TelemetryAcc::default)
-            .note_depth(depth_at_gc as u64);
-        // TTSP is read before any GC work so the distance reflects the
-        // mutator's position when the collection took over.
-        let ttsp_cycles = if self.track_ttsp {
-            m.cycles_since_safepoint()
-        } else {
-            0
-        };
-        m.recorder.record(Event::CollectionBegin(CollectionBegin {
-            collection: self.stats.collections + 1,
-            plan: "generational",
-            reason,
-            major,
-            depth: depth_at_gc as u64,
-            start_cycles: m.stats.client_cycles + self.stats.gc_cycles(),
-            ttsp_cycles,
-        }));
-        Some(PhaseTimer::start(self.stats.gc_cycles()))
-    }
-
-    /// Finishes a collection's telemetry: phase spans, the end event,
-    /// and the per-site samples accumulated since the last collection.
-    #[allow(clippy::too_many_arguments)]
-    fn end_telemetry(
-        &mut self,
-        m: &mut MutatorState,
-        timer: Option<PhaseTimer>,
-        stats_before: &GcStats,
-        wall_ns: u64,
-        workers: u64,
-        worker_copied: Vec<u64>,
-        side_cleared_words: u64,
-        fault: FaultOutcome,
-    ) {
-        let Some(timer) = timer else { return };
-        let collection = self.stats.collections;
-        for e in timer.into_events(collection) {
-            m.recorder.record(e);
-        }
-        let telem = self.telem.as_mut().expect("allocated by begin_telemetry");
-        let insp = self.inspection.as_ref().expect("built by the collection");
-        let end_cycles = m.stats.client_cycles + self.stats.gc_cycles();
-        m.recorder
-            .record(Event::CollectionEnd(Box::new(build_collection_end(
-                stats_before,
-                &self.stats,
-                insp,
-                telem,
-                end_cycles,
-                wall_ns,
-                workers,
-                worker_copied,
-                self.mem.owned_chunks() as u64,
-                side_cleared_words,
-            ))));
-        // A degradation episode brackets right behind the end event,
-        // like a census: the affected collection has already closed
-        // with the exact serial answer.
-        if fault.degraded {
-            m.recorder.record(Event::DegradationBegin(DegradationBegin {
-                collection,
-                trigger: fault.trigger.unwrap_or("orphan"),
-                workers,
-                workers_lost: fault.workers_lost,
-            }));
-            m.recorder.record(Event::DegradationEnd(DegradationEnd {
-                collection,
-                leftover_packets: fault.leftover_packets,
-                outcome: "drained",
-            }));
-        }
-        // The heap census rides right behind the end event: per-space
-        // occupancy plus the route table's current size, all host-side
-        // reads — no simulated cycles, no GcStats.
-        let mut spaces = vec![
-            SpaceCensus {
-                space: "nursery",
-                used_words: self.nursery.active().used_words() as u64,
-                reserved_words: self.nursery.active().capacity_words() as u64,
-                chunks: self.mem.owned_chunks_by("nursery") as u64,
-            },
-            SpaceCensus {
-                space: "tenured",
-                used_words: self.tenured.active().used_words() as u64,
-                reserved_words: self.tenured.active().capacity_words() as u64,
-                chunks: self.mem.owned_chunks_by("tenured") as u64,
-            },
-        ];
-        if let Some(los) = &self.los {
-            spaces.push(SpaceCensus {
-                space: "los",
-                used_words: los.used_words() as u64,
-                reserved_words: los.capacity_words() as u64,
-                chunks: self.mem.owned_chunks_by("los") as u64,
-            });
-        }
-        m.recorder.record(Event::HeapCensus(HeapCensus {
-            collection,
-            pretenured_sites: self
-                .pretenured
-                .as_ref()
-                .map_or(0, |r| r.routed_sites() as u64),
-            spaces,
-        }));
-        for e in telem.drain_samples(collection) {
-            m.recorder.record(e);
-        }
-    }
-
     /// The closed loop's decision step, run at the end of every
     /// collection while adaptation is on: feed the per-site windows into
     /// the estimator and apply the placement flips it returns. Must run
-    /// *before* [`end_telemetry`](Self::end_telemetry) — draining the
+    /// *before* the cycle's [`finish`](Cycle::finish) — draining the
     /// samples resets the windows the estimator reads.
     fn adapt(&mut self, m: &mut MutatorState, major: bool) {
         let Some(adaptive) = self.adaptive.as_mut() else {
             return;
         };
-        let Some(telem) = self.telem.as_mut() else {
+        let Some(telem) = self.gc.telem.as_mut() else {
             return;
         };
         let windows: Vec<SiteWindow> = telem.windows().collect();
-        let collection = self.stats.collections;
+        let collection = self.gc.stats.collections;
         let out = adaptive.observe(collection, major, &windows);
         if !m.recorder.is_enabled() {
             // No recorder to drain the windows at collection end: reset
@@ -400,7 +238,7 @@ impl GenerationalPlan {
             .expect("adaptive plans always compose a pretenured region");
         for &(site, permille) in &out.promotions {
             region.promote_site(site);
-            self.stats.sites_promoted += 1;
+            self.gc.stats.sites_promoted += 1;
             if m.recorder.is_enabled() {
                 m.recorder.record(Event::SitePromote(SitePromote {
                     collection,
@@ -411,7 +249,7 @@ impl GenerationalPlan {
         }
         for &(site, permille) in &out.demotions {
             region.demote_site(site);
-            self.stats.sites_demoted += 1;
+            self.gc.stats.sites_demoted += 1;
             if m.recorder.is_enabled() {
                 m.recorder.record(Event::SiteDemote(SiteDemote {
                     collection,
@@ -423,51 +261,66 @@ impl GenerationalPlan {
         }
     }
 
-    fn minor(&mut self, m: &mut MutatorState, reason: &'static str) {
-        let wall_start = Instant::now();
-        let stats_before = self.stats;
-        let side_cleared_before = self.mem.side_cleared_words();
-        let depth_at_gc = m.stack.depth();
-        let mut timer = self.begin_telemetry(m, reason, false, depth_at_gc);
-        let mut los_pending = self.take_los_pending();
-        los_pending.append(&mut self.oversized_pending);
-        self.stats.collections += 1;
-        self.stats.depth_at_gc_sum += depth_at_gc as u64;
-        self.stats.other_cycles += m.cost.gc_base;
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::Setup, self.stats.gc_cycles());
-        }
+    /// Closes a collection: runs the adaptation step, then the driver's
+    /// close with this plan's census rows — per-space occupancy plus the
+    /// route table's current size.
+    fn finish_cycle(
+        &mut self,
+        cycle: Cycle,
+        m: &mut MutatorState,
+        live_words: usize,
+        live_accounting_complete: bool,
+    ) {
+        self.adapt(m, cycle.major());
+        let mem = &self.mem;
+        cycle.finish(
+            &mut self.gc,
+            m,
+            mem,
+            live_words,
+            live_accounting_complete,
+            || {
+                let (n, t) = (self.nursery.active(), self.tenured.active());
+                let mut spaces = vec![
+                    census_row(mem, "nursery", n.used_words(), n.capacity_words()),
+                    census_row(mem, "tenured", t.used_words(), t.capacity_words()),
+                ];
+                if let Some(los) = &self.los {
+                    spaces.push(census_row(
+                        mem,
+                        "los",
+                        los.used_words(),
+                        los.capacity_words(),
+                    ));
+                }
+                let sites = self.pretenured.as_ref().map_or(0, |r| r.routed_sites());
+                (sites as u64, spaces)
+            },
+        );
+    }
 
-        // --- root processing (GC-stack) ---
-        let stack_t0 = Instant::now();
-        let outcome = scan_stack(m, self.cache.as_mut(), self.marker_policy, &mut self.stats);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::StackDecode, self.stats.gc_cycles());
-        }
-        let scan_claim = (outcome.claimed_prefix, outcome.oracle_prefix);
+    fn minor(&mut self, m: &mut MutatorState, reason: &'static str) {
         // Immediate promotion means frames scanned at an earlier
         // collection cannot reference the (newer) nursery: only newly
         // scanned frames, registers and the alloc buffer yield roots.
         // With a §7.2 tenure threshold, copied-back survivors are young
         // and movable, so cached frames' roots must be processed too
         // (their decode cost is still saved).
-        let mut roots = outcome.new_roots;
-        if self.tenure_threshold > 0 {
-            append_cached_roots(self.cache.as_ref(), outcome.reused_frames, &mut roots);
-        }
+        let (mut cycle, roots) = Cycle::begin(
+            &mut self.gc,
+            m,
+            &self.mem,
+            "generational",
+            reason,
+            false,
+            self.tenure_threshold > 0,
+        );
+        let mut los_pending = self.take_los_pending();
+        los_pending.append(&mut self.oversized_pending);
 
         let nursery_range = self.nursery.active().range();
         let nursery_frontier = self.nursery.active().frontier();
-        let from_used = nursery_frontier - nursery_range.start;
         let from_ranges = [nursery_range];
-        // Parallel lane needs headroom for abandoned chunk tails, and the
-        // copy-back survivor path (§7.2 threshold) splits copies between
-        // two spaces — both fall back to the serial oracle.
-        let parallel = self.workers > 1
-            && self.profile.is_none()
-            && self.tenure_threshold == 0
-            && self.tenured.active().free_words()
-                >= from_used + crate::scheduler::slack_budget_words(self.workers);
         let survivor_space = self.nursery.inactive_mut();
         let mut evac = Evacuator::new(
             &mut self.mem,
@@ -476,31 +329,22 @@ impl GenerationalPlan {
             Some(nursery_range),
             None, // the LOS is old-generation: untouched by minor collections
             self.profile.as_mut(),
-            &mut self.stats,
+            &mut self.gc.stats,
             m.cost,
         );
+        // The copy-back survivor path splits copies between two spaces,
+        // so it keeps the collection on the serial lane.
         if self.tenure_threshold > 0 {
             evac.set_survivor(survivor_space, self.tenure_threshold);
         }
-        if timer.is_some() || self.adaptive.is_some() {
-            evac.set_telemetry(self.telem.get_or_insert_with(TelemetryAcc::default));
-        }
-        if parallel {
-            evac.set_workers(self.workers, self.packet_reorder);
-            if !self.fault_fired {
-                evac.set_worker_fault(self.worker_fault);
-            }
-            evac.set_watchdog_ms(self.watchdog_ms);
-            evac.set_cycle_budget(self.worker_cycle_budget);
-        }
-        evac.forward_roots(m, &roots);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::RootScan, evac.current_gc_cycles());
-        }
-        let stack_ns = stack_t0.elapsed().as_nanos() as u64;
+        cycle.arm(
+            &mut evac,
+            &mut self.gc.telem,
+            nursery_frontier - nursery_range.start,
+        );
+        cycle.forward_roots(&mut evac, m, &roots);
 
         // --- copying (GC-copy) ---
-        let copy_t0 = Instant::now();
         // Write barrier: old→young references created by pointer updates.
         // Field entries (the sequential store buffer) are batched —
         // sorted and deduplicated before filtering, since a hot field
@@ -527,9 +371,7 @@ impl GenerationalPlan {
         });
         m.barrier = barrier;
         evac.forward_field_locs(&mut field_locs);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::BarrierFilter, evac.current_gc_cycles());
-        }
+        cycle.mark(GcPhase::BarrierFilter, evac.current_gc_cycles());
         // Freshly pretenured regions: scan in place instead of copying.
         let pending = self.pretenured.as_mut().map(|p| p.take_pending());
         let grouped = self.pretenured.as_ref().is_some_and(|p| p.grouped());
@@ -538,9 +380,7 @@ impl GenerationalPlan {
                 evac.scan_in_place(addr, grouped);
             }
         }
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::PretenuredInPlaceScan, evac.current_gc_cycles());
-        }
+        cycle.mark(GcPhase::PretenuredInPlaceScan, evac.current_gc_cycles());
         // Young large pointer arrays may hold nursery references from
         // their initializing stores.
         for addr in los_pending {
@@ -554,31 +394,16 @@ impl GenerationalPlan {
         for loc in std::mem::take(&mut self.young_locs) {
             evac.forward_word_at(loc);
         }
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::BarrierFilter, evac.current_gc_cycles());
-        }
-        evac.drain();
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::CheneyCopy, evac.current_gc_cycles());
-        }
+        cycle.mark(GcPhase::BarrierFilter, evac.current_gc_cycles());
+        cycle.drain(&mut evac);
         self.young_refs = evac.take_young_owner_refs();
         self.young_locs = evac.take_young_field_locs();
-        let workers_used = if evac.parallel() {
-            self.workers as u64
-        } else {
-            1
-        };
-        let worker_copied = evac.worker_copied().to_vec();
-        let fault = evac.fault_outcome();
-        let copy_ns = copy_t0.elapsed().as_nanos() as u64;
 
-        self.stats.barrier_entries += barrier_entries;
-        self.stats.other_cycles += m.cost.barrier_entry * barrier_entries;
-        if let Some(t) = timer.as_mut() {
-            // The per-entry examination charge lands after the drain;
-            // fold it into the barrier-filter phase.
-            t.mark(GcPhase::BarrierFilter, self.stats.gc_cycles());
-        }
+        self.gc.stats.barrier_entries += barrier_entries;
+        self.gc.stats.other_cycles += m.cost.barrier_entry * barrier_entries;
+        // The per-entry examination charge lands after the drain; fold it
+        // into the barrier-filter phase.
+        cycle.mark(GcPhase::BarrierFilter, self.gc.stats.gc_cycles());
 
         sweep_profile_deaths(
             &self.mem,
@@ -600,74 +425,27 @@ impl GenerationalPlan {
 
         let live_words =
             self.tenured.active().used_words() + self.los.as_ref().map_or(0, |l| l.used_words());
-        if fault.fired {
-            self.fault_fired = true;
-        }
-        self.stats.workers_lost += fault.workers_lost;
-        self.stats.degraded_collections += u64::from(fault.degraded);
-        self.stats
-            .note_live_bytes(tilgc_mem::words_to_bytes(live_words) as u64);
-        self.stats.stack_wall_ns += stack_ns;
-        self.stats.copy_wall_ns += copy_ns;
-        let total_ns = wall_start.elapsed().as_nanos() as u64;
-        self.stats.total_wall_ns += total_ns;
-        crate::verify::check_worker_accounting(
-            workers_used,
-            &worker_copied,
-            self.stats.copied_bytes - stats_before.copied_bytes,
-        );
         // With a §7.2 tenure threshold, copied-back survivors live in the
         // nursery system but are not counted in `live_words`: the record
         // marks the byte accounting incomplete so verifiers skip it.
-        self.inspection = Some(build_inspection(
-            &stats_before,
-            &self.stats,
-            false,
-            depth_at_gc,
-            self.tenure_threshold == 0,
-            scan_claim,
-        ));
-        self.adapt(m, false);
-        let side_cleared = self.mem.side_cleared_words() - side_cleared_before;
-        self.end_telemetry(
-            m,
-            timer,
-            &stats_before,
-            total_ns,
-            workers_used,
-            worker_copied,
-            side_cleared,
-            fault,
-        );
+        self.finish_cycle(cycle, m, live_words, self.tenure_threshold == 0);
     }
 
     fn major(&mut self, m: &mut MutatorState, reason: &'static str) {
-        let wall_start = Instant::now();
-        let stats_before = self.stats;
-        let side_cleared_before = self.mem.side_cleared_words();
-        let depth_at_gc = m.stack.depth();
-        let mut timer = self.begin_telemetry(m, reason, true, depth_at_gc);
-        self.stats.collections += 1;
-        self.stats.major_collections += 1;
-        self.stats.depth_at_gc_sum += depth_at_gc as u64;
-        self.stats.other_cycles += m.cost.gc_base;
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::Setup, self.stats.gc_cycles());
-        }
-
-        // --- root processing ---
-        let stack_t0 = Instant::now();
-        let outcome = scan_stack(m, self.cache.as_mut(), self.marker_policy, &mut self.stats);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::StackDecode, self.stats.gc_cycles());
-        }
-        let scan_claim = (outcome.claimed_prefix, outcome.oracle_prefix);
+        self.gc.stats.major_collections += 1;
         // A major collection moves tenured objects, so cached frames'
         // roots must be relocated too — but their decode cost is still
         // saved (§5: "it is still advantageous to have amortized the cost
         // of decoding the stack frames").
-        let mut roots = outcome.new_roots;
-        append_cached_roots(self.cache.as_ref(), outcome.reused_frames, &mut roots);
+        let (mut cycle, roots) = Cycle::begin(
+            &mut self.gc,
+            m,
+            &self.mem,
+            "generational",
+            reason,
+            true,
+            true,
+        );
 
         let nursery_range = self.nursery.active().range();
         let nursery_frontier = self.nursery.active().frontier();
@@ -684,13 +462,6 @@ impl GenerationalPlan {
         }
         let t_to = self.tenured.inactive_mut();
         t_to.set_limit_words(t_to.max_capacity_words());
-        // Parallel lane needs headroom for abandoned chunk tails; tight
-        // heaps and profiling runs fall back to the serial oracle.
-        let from_used =
-            (nursery_frontier - nursery_range.start) + (tenured_from.end - tenured_from.start);
-        let parallel = self.workers > 1
-            && self.profile.is_none()
-            && t_to.free_words() >= from_used + crate::scheduler::slack_budget_words(self.workers);
         let mut evac = Evacuator::new(
             &mut self.mem,
             &from_ranges,
@@ -698,28 +469,15 @@ impl GenerationalPlan {
             Some(nursery_range),
             self.los.as_mut(),
             self.profile.as_mut(),
-            &mut self.stats,
+            &mut self.gc.stats,
             m.cost,
         );
-        if timer.is_some() || self.adaptive.is_some() {
-            evac.set_telemetry(self.telem.get_or_insert_with(TelemetryAcc::default));
-        }
-        if parallel {
-            evac.set_workers(self.workers, self.packet_reorder);
-            if !self.fault_fired {
-                evac.set_worker_fault(self.worker_fault);
-            }
-            evac.set_watchdog_ms(self.watchdog_ms);
-            evac.set_cycle_budget(self.worker_cycle_budget);
-        }
-        evac.forward_roots(m, &roots);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::RootScan, evac.current_gc_cycles());
-        }
-        let stack_ns = stack_t0.elapsed().as_nanos() as u64;
+        let from_used =
+            (nursery_frontier - nursery_range.start) + (tenured_from.end - tenured_from.start);
+        cycle.arm(&mut evac, &mut self.gc.telem, from_used);
+        cycle.forward_roots(&mut evac, m, &roots);
 
         // --- copying ---
-        let copy_t0 = Instant::now();
         // The full trace subsumes the write barrier; drop its contents.
         m.barrier.drain(|_| {});
         // Pending pretenured/oversized objects are ordinary tenured
@@ -730,21 +488,8 @@ impl GenerationalPlan {
         self.oversized_pending.clear();
         self.young_refs.clear();
         self.young_locs.clear();
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::BarrierFilter, evac.current_gc_cycles());
-        }
-        evac.drain();
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::CheneyCopy, evac.current_gc_cycles());
-        }
-        let workers_used = if evac.parallel() {
-            self.workers as u64
-        } else {
-            1
-        };
-        let worker_copied = evac.worker_copied().to_vec();
-        let fault = evac.fault_outcome();
-        let copy_ns = copy_t0.elapsed().as_nanos() as u64;
+        cycle.mark(GcPhase::BarrierFilter, evac.current_gc_cycles());
+        cycle.drain(&mut evac);
 
         sweep_profile_deaths(
             &self.mem,
@@ -785,27 +530,14 @@ impl GenerationalPlan {
         } else {
             1.0 - (tenured_after as f64 / tenured_before as f64).min(1.0)
         };
-        if self.adaptive_major && !self.semispace_mode {
-            // Enter semispace mode when tenured data keeps dying fast —
-            // either a single major reclaimed most of the generation, or
-            // majors dominate the recent collection mix (promotion through
-            // the nursery is pure double-copying then).
-            // (A majors-dominate-the-mix trigger was also evaluated; it
-            // enters the mode exactly when the tenured arena is too tight
-            // for semispace-style operation to help, so only the reclaim
-            // signal is used. EXPERIMENTS.md records the comparison.)
-            let _recent_majors = self.recent_major_bits.count_ones();
-            if self.last_major_reclaim > 0.6 {
-                self.semispace_mode = true;
-                self.mode_age = 0;
-            }
+        // Enter semispace mode when a single major reclaimed most of the
+        // tenured generation. (A majors-dominate-the-mix trigger was also
+        // evaluated and rejected; EXPERIMENTS.md records the comparison.)
+        if self.adaptive_major && !self.semispace_mode && self.last_major_reclaim > 0.6 {
+            self.semispace_mode = true;
+            self.mode_age = 0;
         }
         let live_words = tenured_after + self.los.as_ref().map_or(0, |l| l.used_words());
-        if fault.fired {
-            self.fault_fired = true;
-        }
-        self.stats.workers_lost += fault.workers_lost;
-        self.stats.degraded_collections += u64::from(fault.degraded);
         self.apply_limits(live_words);
         // Live tenured data past its budget share is not a panic here:
         // `set_limit_words` clamps the limit up to the used words, so
@@ -814,39 +546,9 @@ impl GenerationalPlan {
         // The overrun is counted so calibration harnesses can tell this
         // run was not pressure-free even if every allocation succeeds.
         if self.tenured.active().used_words() > self.tenured_max_words() {
-            self.stats.budget_overruns += 1;
+            self.gc.stats.budget_overruns += 1;
         }
-        self.stats
-            .note_live_bytes(tilgc_mem::words_to_bytes(live_words) as u64);
-        self.stats.stack_wall_ns += stack_ns;
-        self.stats.copy_wall_ns += copy_ns;
-        let total_ns = wall_start.elapsed().as_nanos() as u64;
-        self.stats.total_wall_ns += total_ns;
-        crate::verify::check_worker_accounting(
-            workers_used,
-            &worker_copied,
-            self.stats.copied_bytes - stats_before.copied_bytes,
-        );
-        self.inspection = Some(build_inspection(
-            &stats_before,
-            &self.stats,
-            true,
-            depth_at_gc,
-            true,
-            scan_claim,
-        ));
-        self.adapt(m, true);
-        let side_cleared = self.mem.side_cleared_words() - side_cleared_before;
-        self.end_telemetry(
-            m,
-            timer,
-            &stats_before,
-            total_ns,
-            workers_used,
-            worker_copied,
-            side_cleared,
-            fault,
-        );
+        self.finish_cycle(cycle, m, live_words, true);
     }
 
     /// Scans young large pointer arrays (initializing stores may reference
@@ -924,7 +626,7 @@ impl GenerationalPlan {
         session: &mut PressureSession,
         words: usize,
     ) -> bool {
-        let charged = session.charge(m, &mut self.stats, PressureRung::RetryMajor);
+        let charged = session.charge(m, &mut self.gc.stats, PressureRung::RetryMajor);
         self.major(m, "alloc-failure");
         if self.tenured_attempt_fits(m, words) {
             session.emit_rung(m, PressureRung::RetryMajor, "recovered", charged);
@@ -932,7 +634,7 @@ impl GenerationalPlan {
         }
         session.emit_rung(m, PressureRung::RetryMajor, "escalated", charged);
         if !self.rebalanced {
-            let charged = session.charge(m, &mut self.stats, PressureRung::Rebalance);
+            let charged = session.charge(m, &mut self.gc.stats, PressureRung::Rebalance);
             self.rebalance();
             if self.tenured_attempt_fits(m, words) {
                 session.emit_rung(m, PressureRung::Rebalance, "recovered", charged);
@@ -968,12 +670,12 @@ impl GenerationalPlan {
             None => {
                 let mut session = PressureSession::begin(
                     m,
-                    &mut self.stats,
+                    &mut self.gc.stats,
                     shape.site().get(),
                     words as u64,
                     "los",
                 );
-                let charged = session.charge(m, &mut self.stats, PressureRung::RetryMajor);
+                let charged = session.charge(m, &mut self.gc.stats, PressureRung::RetryMajor);
                 self.major(m, "alloc-failure");
                 match self.los_attempt_alloc(m, words) {
                     Some(a) => {
@@ -1024,15 +726,20 @@ impl GenerationalPlan {
         if !self.tenured_attempt_fits(m, words) {
             self.major(m, "alloc-failure");
             if !self.tenured_attempt_fits(m, words) {
-                let mut session =
-                    PressureSession::begin(m, &mut self.stats, site.get(), words as u64, "tenured");
+                let mut session = PressureSession::begin(
+                    m,
+                    &mut self.gc.stats,
+                    site.get(),
+                    words as u64,
+                    "tenured",
+                );
                 if !self.climb_tenured_ladder(m, &mut session, words) {
                     while self
                         .pretenured
                         .as_ref()
                         .is_some_and(|p| p.should_pretenure(site))
                     {
-                        let charged = session.charge(m, &mut self.stats, PressureRung::Demote);
+                        let charged = session.charge(m, &mut self.gc.stats, PressureRung::Demote);
                         let demoted = self
                             .pretenured
                             .as_mut()
@@ -1048,9 +755,9 @@ impl GenerationalPlan {
                         // cooldown), count it, and emit the event with
                         // its distinct reason.
                         if let Some(a) = self.adaptive.as_mut() {
-                            let collection = self.stats.collections;
+                            let collection = self.gc.stats.collections;
                             a.note_forced_demotion(demoted, collection);
-                            self.stats.sites_demoted += 1;
+                            self.gc.stats.sites_demoted += 1;
                             if m.recorder.is_enabled() {
                                 m.recorder.record(Event::SiteDemote(SiteDemote {
                                     collection,
@@ -1071,7 +778,7 @@ impl GenerationalPlan {
             }
         }
         let addr = self.finish_tenured_alloc(m, shape);
-        self.stats.pretenured_bytes += shape.size_bytes() as u64;
+        self.gc.stats.pretenured_bytes += shape.size_bytes() as u64;
         // §7.2: "some areas may require no scanning because they
         // contain no pointers" — pointer-free objects never make
         // it onto the pending-scan list, and neither do objects
@@ -1147,7 +854,7 @@ impl GenerationalPlan {
                 if !self.tenured_attempt_fits(m, words) {
                     let mut session = PressureSession::begin(
                         m,
-                        &mut self.stats,
+                        &mut self.gc.stats,
                         site.get(),
                         words as u64,
                         "tenured",
@@ -1193,19 +900,20 @@ impl GenerationalPlan {
                 if !self.nursery_attempt_fits(m, words) {
                     let mut session = PressureSession::begin(
                         m,
-                        &mut self.stats,
+                        &mut self.gc.stats,
                         site.get(),
                         words as u64,
                         "nursery",
                     );
-                    let charged = session.charge(m, &mut self.stats, PressureRung::RetryMinor);
+                    let charged = session.charge(m, &mut self.gc.stats, PressureRung::RetryMinor);
                     self.minor(m, "alloc-failure");
                     if self.nursery_attempt_fits(m, words) {
                         session.emit_rung(m, PressureRung::RetryMinor, "recovered", charged);
                         session.finish(m, "recovered");
                     } else {
                         session.emit_rung(m, PressureRung::RetryMinor, "escalated", charged);
-                        let charged = session.charge(m, &mut self.stats, PressureRung::RetryMajor);
+                        let charged =
+                            session.charge(m, &mut self.gc.stats, PressureRung::RetryMajor);
                         self.major(m, "alloc-failure");
                         if self.nursery_attempt_fits(m, words) {
                             session.emit_rung(m, PressureRung::RetryMajor, "recovered", charged);
@@ -1234,7 +942,7 @@ impl GenerationalPlan {
     }
 }
 
-impl Plan for GenerationalPlan {
+impl Collector for GenerationalPlan {
     fn name(&self) -> &'static str {
         "generational"
     }
@@ -1248,16 +956,10 @@ impl Plan for GenerationalPlan {
     }
 
     fn alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
-        if m.recorder.is_enabled() || self.adaptive.is_some() {
-            // Counted before routing (and before any demotion re-route)
-            // so every allocation path (LOS, pretenure, semispace mode,
-            // oversized, nursery) feeds the same per-site time-series.
-            // The adaptive estimator consumes the same windows the
-            // recorder samples, so it keeps them flowing recorder or no.
-            self.telem
-                .get_or_insert_with(TelemetryAcc::default)
-                .note_alloc(shape.site().get(), shape.size_bytes() as u64);
-        }
+        // Counted before routing (and before any demotion re-route) so
+        // every allocation path (LOS, pretenure, semispace mode,
+        // oversized, nursery) feeds the same per-site time series.
+        self.gc.note_alloc(m, shape);
         self.alloc_inner(m, shape)
     }
 
@@ -1270,27 +972,21 @@ impl Plan for GenerationalPlan {
                     self.mode_age += 1;
                     if self.mode_age >= 32 {
                         // Probation: drop back to generational operation
-                        // and let the window re-decide.
+                        // and let the next major re-decide.
                         self.semispace_mode = false;
-                        self.recent_major_bits = 0;
                     }
                     self.major(m, why);
+                } else if self.needs_major() {
+                    self.major(m, why);
                 } else {
-                    let is_major = self.needs_major();
-                    self.recent_major_bits =
-                        (self.recent_major_bits << 1 | u32::from(is_major)) & 0xffff;
-                    if is_major {
-                        self.major(m, why);
-                    } else {
-                        self.minor(m, why);
-                    }
+                    self.minor(m, why);
                 }
             }
         }
     }
 
     fn gc_stats(&self) -> &GcStats {
-        &self.stats
+        &self.gc.stats
     }
 
     fn finish(&mut self, _m: &mut MutatorState) {
@@ -1304,6 +1000,6 @@ impl Plan for GenerationalPlan {
     }
 
     fn last_inspection(&self) -> Option<&CollectionInspection> {
-        self.inspection.as_ref()
+        self.gc.inspection.as_ref()
     }
 }

@@ -8,29 +8,21 @@
 //! factor r′/r"), capped by the experiment's memory budget `k · Min`.
 //!
 //! §7.1 notes that generational *stack* collection is orthogonal to heap
-//! generations, so this plan too accepts a [`MarkerPolicy`] — the
-//! ablation benches compare semispace collection with and without scan
-//! caching.
-
-use std::time::Instant;
+//! generations, so this plan too accepts a
+//! [`MarkerPolicy`](crate::MarkerPolicy) — the ablation benches compare
+//! semispace collection with and without scan caching.
 
 use tilgc_mem::{Addr, BudgetSnapshot, GcError, Memory, Space};
-use tilgc_obs::{
-    CollectionBegin, DegradationBegin, DegradationEnd, Event, GcPhase, HeapCensus, PhaseTimer,
-    SpaceCensus, TelemetryAcc,
-};
 use tilgc_runtime::{
-    AllocShape, CollectReason, CollectionInspection, GcStats, HeapProfile, MutatorState,
+    AllocShape, CollectReason, CollectionInspection, Collector, GcStats, HeapProfile, MutatorState,
 };
 
-use crate::config::{GcConfig, MarkerPolicy};
+use crate::config::GcConfig;
+use crate::cycle::{census_row, Cycle, CycleState};
 use crate::evac::{poison_range, sweep_profile_deaths, Evacuator};
 use crate::governor::{PressureRung, PressureSession};
-use crate::plan::Plan;
-use crate::roots::{append_cached_roots, scan_stack, ScanCache};
-use crate::scheduler::WorkerFaultSpec;
 use crate::space::{CopySemantics, CopySpace};
-use crate::util::{alloc_in_space, build_collection_end, build_inspection, reason_str};
+use crate::util::{alloc_in_space, reason_str};
 
 /// The semispace (Fenichel–Yochelson/Cheney) plan.
 pub struct SemispacePlan {
@@ -38,23 +30,8 @@ pub struct SemispacePlan {
     heap: CopySpace,
     budget_words: usize,
     target_liveness: f64,
-    marker_policy: MarkerPolicy,
-    cache: Option<ScanCache>,
     profile: Option<HeapProfile>,
-    stats: GcStats,
-    inspection: Option<CollectionInspection>,
-    /// Telemetry accumulator, allocated lazily the first time a
-    /// collection or allocation runs with an enabled recorder installed.
-    telem: Option<TelemetryAcc>,
-    workers: usize,
-    packet_reorder: bool,
-    /// Injected worker fault, armed until its one shot fires (the spec
-    /// is per-run, not per-collection).
-    worker_fault: Option<WorkerFaultSpec>,
-    fault_fired: bool,
-    watchdog_ms: Option<u64>,
-    worker_cycle_budget: Option<u64>,
-    track_ttsp: bool,
+    gc: CycleState,
 }
 
 impl SemispacePlan {
@@ -87,19 +64,8 @@ impl SemispacePlan {
             heap: CopySpace::new("semispace", CopySemantics::Evacuate, a, b),
             budget_words,
             target_liveness: config.semispace_target_liveness,
-            marker_policy: config.marker_policy,
-            cache: config.marker_policy.is_enabled().then(ScanCache::default),
             profile: config.profiling.then(HeapProfile::new),
-            stats: GcStats::default(),
-            inspection: None,
-            telem: None,
-            workers: config.workers,
-            packet_reorder: config.packet_reorder,
-            worker_fault: config.worker_fault,
-            fault_fired: false,
-            watchdog_ms: config.watchdog_ms,
-            worker_cycle_budget: config.worker_cycle_budget,
-            track_ttsp: config.track_ttsp,
+            gc: CycleState::new(config, false),
         }
     }
 
@@ -137,65 +103,16 @@ impl SemispacePlan {
     }
 
     fn do_collect(&mut self, m: &mut MutatorState, reason: &'static str) {
-        let wall_start = Instant::now();
-        let stats_before = self.stats;
-        let side_cleared_before = self.mem.side_cleared_words();
-        let depth_at_gc = m.stack.depth();
-        // TTSP is read before any GC work so the distance reflects the
-        // mutator's position when the collection took over.
-        let ttsp_cycles = if self.track_ttsp {
-            m.cycles_since_safepoint()
-        } else {
-            0
-        };
-        let mut timer = None;
-        if m.recorder.is_enabled() {
-            self.telem
-                .get_or_insert_with(TelemetryAcc::default)
-                .note_depth(depth_at_gc as u64);
-            m.recorder.record(Event::CollectionBegin(CollectionBegin {
-                collection: self.stats.collections + 1,
-                plan: "semispace",
-                reason,
-                // Every semispace collection traces the whole heap.
-                major: true,
-                depth: depth_at_gc as u64,
-                start_cycles: m.stats.client_cycles + self.stats.gc_cycles(),
-                ttsp_cycles,
-            }));
-            timer = Some(PhaseTimer::start(self.stats.gc_cycles()));
-        }
-        self.stats.collections += 1;
-        self.stats.depth_at_gc_sum += depth_at_gc as u64;
-        self.stats.other_cycles += m.cost.gc_base;
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::Setup, self.stats.gc_cycles());
-        }
-
-        // --- root processing (GC-stack) ---
-        let stack_t0 = Instant::now();
-        let outcome = scan_stack(m, self.cache.as_mut(), self.marker_policy, &mut self.stats);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::StackDecode, self.stats.gc_cycles());
-        }
-        let scan_claim = (outcome.claimed_prefix, outcome.oracle_prefix);
-        // Every collection moves everything, so cached frames' roots must
-        // be processed too — the cache saves only the decode cost.
-        let mut roots = outcome.new_roots;
-        append_cached_roots(self.cache.as_ref(), outcome.reused_frames, &mut roots);
-
+        // Every semispace collection traces the whole heap, and moves
+        // everything, so cached frames' roots must be processed too —
+        // the cache saves only the decode cost.
+        let (mut cycle, roots) =
+            Cycle::begin(&mut self.gc, m, &self.mem, "semispace", reason, true, true);
         let from_range = self.heap.active().range();
         let from_frontier = self.heap.active().frontier();
-        let from_used = from_frontier - from_range.start;
         let from_ranges = [from_range];
         let to_space = self.heap.inactive_mut();
         to_space.set_limit_words(to_space.max_capacity_words());
-        // Parallel lane needs headroom for abandoned chunk tails; tight
-        // heaps and profiling runs fall back to the serial oracle.
-        let parallel = self.workers > 1
-            && self.profile.is_none()
-            && to_space.free_words()
-                >= from_used + crate::scheduler::slack_budget_words(self.workers);
         let mut evac = Evacuator::new(
             &mut self.mem,
             &from_ranges,
@@ -203,44 +120,16 @@ impl SemispacePlan {
             None,
             None,
             self.profile.as_mut(),
-            &mut self.stats,
+            &mut self.gc.stats,
             m.cost,
         );
-        if let Some(t) = self.telem.as_mut().filter(|_| timer.is_some()) {
-            evac.set_telemetry(t);
-        }
-        if parallel {
-            evac.set_workers(self.workers, self.packet_reorder);
-            if !self.fault_fired {
-                evac.set_worker_fault(self.worker_fault);
-            }
-            evac.set_watchdog_ms(self.watchdog_ms);
-            evac.set_cycle_budget(self.worker_cycle_budget);
-        }
-        evac.forward_roots(m, &roots);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::RootScan, evac.current_gc_cycles());
-        }
-        let stack_ns = stack_t0.elapsed().as_nanos() as u64;
-
-        // --- copying (GC-copy) ---
-        let copy_t0 = Instant::now();
-        evac.drain();
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::CheneyCopy, evac.current_gc_cycles());
-        }
-        let copy_ns = copy_t0.elapsed().as_nanos() as u64;
-        let workers_used = if evac.parallel() {
-            self.workers as u64
-        } else {
-            1
-        };
-        let worker_copied = evac.worker_copied().to_vec();
-        let fault_fired = evac.fault_fired();
-        let workers_lost = evac.workers_lost();
-        let degraded = evac.degraded();
-        let degrade_trigger = evac.degrade_trigger();
-        let leftover_packets = evac.leftover_packets();
+        cycle.arm(
+            &mut evac,
+            &mut self.gc.telem,
+            from_frontier - from_range.start,
+        );
+        cycle.forward_roots(&mut evac, m, &roots);
+        cycle.drain(&mut evac);
 
         // A semispace plan needs no write barrier; discard anything an
         // embedder recorded anyway.
@@ -266,88 +155,21 @@ impl SemispacePlan {
         let new_size = desired.clamp((live_words + 512).min(cap), cap);
         self.heap.set_limit_words(new_size);
 
-        if fault_fired {
-            self.fault_fired = true;
-        }
-        self.stats.workers_lost += workers_lost;
-        self.stats.degraded_collections += u64::from(degraded);
-        self.stats
-            .note_live_bytes(tilgc_mem::words_to_bytes(live_words) as u64);
-        self.stats.stack_wall_ns += stack_ns;
-        self.stats.copy_wall_ns += copy_ns;
-        let total_ns = wall_start.elapsed().as_nanos() as u64;
-        self.stats.total_wall_ns += total_ns;
-        crate::verify::check_worker_accounting(
-            workers_used,
-            &worker_copied,
-            self.stats.copied_bytes - stats_before.copied_bytes,
-        );
-        // A semispace collection traces the whole heap.
-        self.inspection = Some(build_inspection(
-            &stats_before,
-            &self.stats,
-            true,
-            depth_at_gc,
-            true,
-            scan_claim,
-        ));
-        if let Some(timer) = timer {
-            let collection = self.stats.collections;
-            for e in timer.into_events(collection) {
-                m.recorder.record(e);
-            }
-            let telem = self.telem.as_mut().expect("allocated when recording");
-            let insp = self.inspection.as_ref().expect("just built");
-            let end_cycles = m.stats.client_cycles + self.stats.gc_cycles();
-            m.recorder
-                .record(Event::CollectionEnd(Box::new(build_collection_end(
-                    &stats_before,
-                    &self.stats,
-                    insp,
-                    telem,
-                    end_cycles,
-                    total_ns,
-                    workers_used,
-                    worker_copied,
-                    self.mem.owned_chunks() as u64,
-                    self.mem.side_cleared_words() - side_cleared_before,
-                ))));
-            // A degradation episode brackets right behind the end event,
-            // like a census: the affected collection has already closed
-            // with the exact serial answer.
-            if degraded {
-                m.recorder.record(Event::DegradationBegin(DegradationBegin {
-                    collection,
-                    trigger: degrade_trigger.unwrap_or("orphan"),
-                    workers: workers_used,
-                    workers_lost,
-                }));
-                m.recorder.record(Event::DegradationEnd(DegradationEnd {
-                    collection,
-                    leftover_packets,
-                    outcome: "drained",
-                }));
-            }
-            // Census behind the end event: one row for the single copy
-            // space. Host-side reads only — no simulated cycles.
-            m.recorder.record(Event::HeapCensus(HeapCensus {
-                collection,
-                pretenured_sites: 0,
-                spaces: vec![SpaceCensus {
-                    space: "semispace",
-                    used_words: self.heap.active().used_words() as u64,
-                    reserved_words: self.heap.active().capacity_words() as u64,
-                    chunks: self.mem.owned_chunks_by("semispace") as u64,
-                }],
-            }));
-            for e in telem.drain_samples(collection) {
-                m.recorder.record(e);
-            }
-        }
+        // One census row for the single copy space.
+        let active = self.heap.active();
+        cycle.finish(&mut self.gc, m, &self.mem, live_words, true, || {
+            let row = census_row(
+                &self.mem,
+                "semispace",
+                active.used_words(),
+                active.capacity_words(),
+            );
+            (0, vec![row])
+        });
     }
 }
 
-impl Plan for SemispacePlan {
+impl Collector for SemispacePlan {
     fn name(&self) -> &'static str {
         "semispace"
     }
@@ -362,11 +184,7 @@ impl Plan for SemispacePlan {
 
     fn alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
         let words = shape.size_words();
-        if m.recorder.is_enabled() {
-            self.telem
-                .get_or_insert_with(TelemetryAcc::default)
-                .note_alloc(shape.site().get(), shape.size_bytes() as u64);
-        }
+        self.gc.note_alloc(m, shape);
         if self.attempt_fits(m, words) {
             return Ok(self.finish_alloc(m, shape));
         }
@@ -379,12 +197,12 @@ impl Plan for SemispacePlan {
         // ladder. A single-space plan has only the retry-major rung.
         let mut session = PressureSession::begin(
             m,
-            &mut self.stats,
+            &mut self.gc.stats,
             shape.site().get(),
             words as u64,
             "tenured",
         );
-        let charged = session.charge(m, &mut self.stats, PressureRung::RetryMajor);
+        let charged = session.charge(m, &mut self.gc.stats, PressureRung::RetryMajor);
         self.do_collect(m, "alloc-failure");
         if self.attempt_fits(m, words) {
             session.emit_rung(m, PressureRung::RetryMajor, "recovered", charged);
@@ -406,7 +224,7 @@ impl Plan for SemispacePlan {
     }
 
     fn gc_stats(&self) -> &GcStats {
-        &self.stats
+        &self.gc.stats
     }
 
     fn finish(&mut self, _m: &mut MutatorState) {
@@ -420,7 +238,7 @@ impl Plan for SemispacePlan {
     }
 
     fn last_inspection(&self) -> Option<&CollectionInspection> {
-        self.inspection.as_ref()
+        self.gc.inspection.as_ref()
     }
 }
 
@@ -433,7 +251,7 @@ mod tests {
         let config = GcConfig::new().heap_budget_bytes(budget);
         let mut m = MutatorState::new();
         m.barrier = tilgc_runtime::WriteBarrier::None;
-        Vm::with_mutator(m, SemispacePlan::new(&config).into_collector())
+        Vm::with_mutator(m, Box::new(SemispacePlan::new(&config)))
     }
 
     #[test]
@@ -552,7 +370,7 @@ mod tests {
         let config = GcConfig::new().heap_budget_bytes(16 << 10).profiling(true);
         let mut m = MutatorState::new();
         m.barrier = tilgc_runtime::WriteBarrier::None;
-        let mut vm = Vm::with_mutator(m, SemispacePlan::new(&config).into_collector());
+        let mut vm = Vm::with_mutator(m, Box::new(SemispacePlan::new(&config)));
         let site = vm.site("t::p");
         for _ in 0..2000 {
             let _ = vm.alloc_record(site, &[Value::Int(1)]);

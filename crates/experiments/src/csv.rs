@@ -76,7 +76,8 @@ mod tests {
 
     #[test]
     fn writes_and_quotes() {
-        let dir = std::env::temp_dir().join("tilgc_csv_test");
+        // Unique to this process and test, since the test deletes it.
+        let dir = std::env::temp_dir().join(format!("tilgc-csv-{}", std::process::id()));
         let sink = CsvSink::into_dir(&dir).expect("temp dir");
         sink.write(
             "t",

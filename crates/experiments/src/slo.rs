@@ -102,20 +102,17 @@ struct StreamSummary {
 
 pub fn run(req: &SloRequest) -> ExitCode {
     let summary = match &req.input {
-        Some(path) => match summarize_jsonl_file(path, req.validate) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("slo-report: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match summarize_live_run(req) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("slo-report: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(path) => std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|doc| summarize_jsonl(&doc, path, req.validate)),
+        None => summarize_live_run(req),
+    };
+    let summary = match summary {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("slo-report: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let (text, violations) = render_report(&summary, &req.spec);
     print!("{text}");
@@ -133,13 +130,12 @@ pub fn run(req: &SloRequest) -> ExitCode {
     }
 }
 
-/// Replays a JSONL file into a [`StreamSummary`] without reconstructing
-/// `Event` values: each line is parsed and only the fields the metrics
-/// need are read.
-fn summarize_jsonl_file(path: &str, validate: bool) -> Result<StreamSummary, String> {
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+/// Replays a JSONL document read from `path` into a [`StreamSummary`]
+/// without reconstructing `Event` values: each line is parsed and only
+/// the fields the metrics need are read.
+fn summarize_jsonl(doc: &str, path: &str, validate: bool) -> Result<StreamSummary, String> {
     if validate {
-        let n = schema::validate_jsonl(&doc).map_err(|e| format!("{path}: schema: {e}"))?;
+        let n = schema::validate_jsonl(doc).map_err(|e| format!("{path}: schema: {e}"))?;
         println!("validate: {n} JSONL lines conform to the schema");
     }
     let mut metrics = PauseMetrics::new();
@@ -503,11 +499,7 @@ mod tests {
     }
 
     fn summary_of(doc: &str) -> StreamSummary {
-        let dir = std::env::temp_dir().join("tilgc-slo-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("sample-{:x}.jsonl", doc.len()));
-        std::fs::write(&path, doc).unwrap();
-        summarize_jsonl_file(path.to_str().unwrap(), false).unwrap()
+        summarize_jsonl(doc, "sample", false).unwrap()
     }
 
     #[test]
@@ -590,9 +582,9 @@ mod tests {
     /// comparison goes through its `Debug` form.
     #[test]
     fn replayed_violations_exit_nonzero() {
-        let dir = std::env::temp_dir().join("tilgc-slo-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("replay-gate.jsonl");
+        // Unique to this process and test, so concurrent runs never share it.
+        let path =
+            std::env::temp_dir().join(format!("tilgc-slo-gate-{}.jsonl", std::process::id()));
         std::fs::write(&path, sample_doc()).unwrap();
         let request = |spec: SloSpec| SloRequest {
             input: Some(path.to_str().unwrap().to_string()),
@@ -624,5 +616,6 @@ mod tests {
             format!("{:?}", ExitCode::SUCCESS),
             "generous bounds must exit zero"
         );
+        let _ = std::fs::remove_file(&path);
     }
 }
