@@ -53,20 +53,16 @@ use std::time::Instant;
 
 use tilgc_bench::kernels::{BarrierRig, BulkClearRig, EvacRig, SsbRig, StackRig};
 use tilgc_bench::{bench_config, run_program, HEADLINERS};
-use tilgc_core::{build_vm, build_vm_with_recorder, CollectorKind, GcConfig};
+use tilgc_core::{build_vm, CollectorKind, GcConfig};
 use tilgc_obs::metrics::{PauseHistogram, PauseMetrics, TtspMetrics};
-use tilgc_obs::RingRecorder;
 use tilgc_runtime::CostModel;
 
-use crate::harness::{config_with_budget, derive_pretenure_policy, Calibration};
+use crate::harness::{recorded_run, Calibration};
 
 /// Iterations per kernel measurement (after warm-up).
 const KERNEL_ITERS: usize = 200;
 /// Iterations of the end-to-end workload (after warm-up).
 const WORKLOAD_ITERS: usize = 5;
-/// Ring capacity for the pause-lane recorder; far more than the headline
-/// workload's collection count, so nothing is dropped.
-const PAUSE_RING_CAPACITY: usize = 1 << 20;
 
 /// One collector plan's deterministic pause/MMU numbers.
 struct PauseLane {
@@ -91,8 +87,7 @@ struct PauseLane {
 /// collects would record a degenerate all-zero lane that gates nothing.
 fn measure_pause_lanes() -> Vec<PauseLane> {
     let window = CostModel::default().cycles_per_ms(10);
-    let scale = 1;
-    let mut cal = Calibration::new(scale);
+    let mut cal = Calibration::new(1);
     CollectorKind::ALL
         .iter()
         .map(|&kind| {
@@ -100,27 +95,13 @@ fn measure_pause_lanes() -> Vec<PauseLane> {
             let mut ttsp = TtspMetrics::new();
             let mut mmu_10ms = 1000u64;
             for &bench in HEADLINERS.iter() {
-                let budget = cal.budget_for_k(bench, 4.0);
                 // TTSP tracking is observational: it charges no cycles,
                 // so the pause lane's numbers are unchanged by it.
-                let mut config = config_with_budget(budget).track_ttsp(true);
-                if kind == CollectorKind::GenerationalStackPretenure {
-                    let (policy, _) = derive_pretenure_policy(bench, scale);
-                    config = config.pretenure(policy);
-                }
-                let recorder = Box::new(RingRecorder::with_capacity(PAUSE_RING_CAPACITY));
-                let mut vm = build_vm_with_recorder(kind, &config, recorder);
-                vm.mutator_mut().check_shadows = false;
-                bench.run(&mut vm, scale);
-                vm.finish();
-                let gc_cycles = vm.gc_stats().gc_cycles();
-                let client_cycles = vm.mutator_stats().client_cycles;
-                let events = RingRecorder::drain_events_from(vm.recorder_mut())
-                    .expect("bench-json installed a RingRecorder");
-                let mut metrics = PauseMetrics::from_events(&events);
-                metrics.set_horizon(client_cycles + gc_cycles);
+                let run = recorded_run(bench, kind, &mut cal, false, true);
+                let mut metrics = PauseMetrics::from_events(&run.events);
+                metrics.set_horizon(run.total_cycles);
                 hist.merge(metrics.histogram());
-                ttsp.merge(TtspMetrics::from_events(&events).histogram());
+                ttsp.merge(TtspMetrics::from_events(&run.events).histogram());
                 mmu_10ms = mmu_10ms.min(metrics.mmu(window));
             }
             PauseLane {
@@ -153,6 +134,28 @@ fn median_pass_secs<F: FnMut()>(mut pass: F, iters: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Times a batched kernel and its scalar reference, each on a fresh rig
+/// from `new`: returns the batched rig (for its per-pass sizes), the
+/// median seconds per pass of each, and each one's last result.
+fn kernel_pair<R>(
+    new: fn() -> R,
+    batched: fn(&mut R) -> u64,
+    reference: fn(&mut R) -> u64,
+) -> (R, f64, f64, [u64; 2]) {
+    let mut last = [0u64; 2];
+    let mut rig = new();
+    let batched_secs = median_pass_secs(
+        || last[0] = std::hint::black_box(batched(&mut rig)),
+        KERNEL_ITERS,
+    );
+    let mut rig_ref = new();
+    let reference_secs = median_pass_secs(
+        || last[1] = std::hint::black_box(reference(&mut rig_ref)),
+        KERNEL_ITERS,
+    );
+    (rig, batched_secs, reference_secs, last)
+}
+
 /// One pass of the Table 5 workload under `config`, returning its
 /// checksum plus the aggregate copied bytes and copy-phase wall time
 /// across every collection of the pass.
@@ -182,37 +185,19 @@ pub fn run(path: &str, workers: usize) {
     );
     println!("{}", "-".repeat(78));
 
-    let mut rig = EvacRig::new();
-    let evac_batched = median_pass_secs(
-        || {
-            std::hint::black_box(rig.scan_pass());
-        },
-        KERNEL_ITERS,
-    );
-    let mut rig_ref = EvacRig::new();
-    let evac_reference = median_pass_secs(
-        || {
-            std::hint::black_box(rig_ref.scan_pass_reference());
-        },
-        KERNEL_ITERS,
+    let (rig, evac_batched, evac_reference, _) = kernel_pair(
+        EvacRig::new,
+        EvacRig::scan_pass,
+        EvacRig::scan_pass_reference,
     );
     let evac_words_per_sec = rig.words_per_pass as f64 / evac_batched;
     let evac_speedup = evac_reference / evac_batched;
     println!("evac scan:   {evac_words_per_sec:>14.0} words/s   {evac_speedup:.2}x vs reference");
 
-    let mut rig = StackRig::new();
-    let stack_batched = median_pass_secs(
-        || {
-            std::hint::black_box(rig.scan_pass());
-        },
-        KERNEL_ITERS,
-    );
-    let mut rig_ref = StackRig::new();
-    let stack_reference = median_pass_secs(
-        || {
-            std::hint::black_box(rig_ref.scan_pass_reference());
-        },
-        KERNEL_ITERS,
+    let (rig, stack_batched, stack_reference, _) = kernel_pair(
+        StackRig::new,
+        StackRig::scan_pass,
+        StackRig::scan_pass_reference,
     );
     let stack_frames_per_sec = rig.frames_per_pass as f64 / stack_batched;
     let stack_speedup = stack_reference / stack_batched;
@@ -220,42 +205,22 @@ pub fn run(path: &str, workers: usize) {
         "stack scan:  {stack_frames_per_sec:>14.0} frames/s  {stack_speedup:.2}x vs reference"
     );
 
-    let mut rig = SsbRig::new();
-    let ssb_batched = median_pass_secs(
-        || {
-            std::hint::black_box(rig.filter_pass());
-        },
-        KERNEL_ITERS,
-    );
-    let mut rig_ref = SsbRig::new();
-    let ssb_reference = median_pass_secs(
-        || {
-            std::hint::black_box(rig_ref.filter_pass_reference());
-        },
-        KERNEL_ITERS,
+    let (rig, ssb_batched, ssb_reference, _) = kernel_pair(
+        SsbRig::new,
+        SsbRig::filter_pass,
+        SsbRig::filter_pass_reference,
     );
     let ssb_entries_per_sec = rig.entries_per_pass as f64 / ssb_batched;
     let ssb_speedup = ssb_reference / ssb_batched;
     println!("ssb filter:  {ssb_entries_per_sec:>14.0} entries/s {ssb_speedup:.2}x vs reference");
 
-    let mut rig = BarrierRig::new();
-    let mut barrier_recorded = 0u64;
-    let barrier_batched = median_pass_secs(
-        || {
-            barrier_recorded = std::hint::black_box(rig.filter_pass());
-        },
-        KERNEL_ITERS,
-    );
-    let mut rig_ref = BarrierRig::new();
-    let mut barrier_recorded_ref = 0u64;
-    let barrier_reference = median_pass_secs(
-        || {
-            barrier_recorded_ref = std::hint::black_box(rig_ref.filter_pass_reference());
-        },
-        KERNEL_ITERS,
+    let (rig, barrier_batched, barrier_reference, [recorded, recorded_ref]) = kernel_pair(
+        BarrierRig::new,
+        BarrierRig::filter_pass,
+        BarrierRig::filter_pass_reference,
     );
     assert_eq!(
-        barrier_recorded, barrier_recorded_ref,
+        recorded, recorded_ref,
         "branch-free barrier filter diverged from the scalar reference"
     );
     let barrier_updates_per_sec = rig.updates_per_pass as f64 / barrier_batched;

@@ -9,110 +9,60 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use tilgc_core::{build_vm_with_recorder, AdaptiveConfig, CollectorKind};
 use tilgc_obs::metrics::PauseMetrics;
-use tilgc_obs::{chrome, jsonl, schema, Event, GcPhase, RingRecorder};
-use tilgc_programs::Benchmark;
+use tilgc_obs::{chrome, jsonl, schema, Event, GcPhase, SiteWindow};
 use tilgc_runtime::CostModel;
 
-use crate::harness::{config_with_budget, derive_pretenure_policy, Calibration};
-
-/// Event capacity of the recording ring; enough for every collection the
-/// scaled benchmarks perform with plenty of headroom. Overflow drops the
-/// oldest events (and the tool reports it), never the run.
-const RING_CAPACITY: usize = 1 << 20;
+use crate::harness::{find_bench_and_plan, recorded_run, Calibration};
 
 /// Width of the ASCII phase bar, in character cells.
 const BAR_WIDTH: usize = 40;
 
 /// Runs the gc-log experiment. `bench_name` / `plan_label` match
-/// [`Benchmark::name`] and [`CollectorKind::label`] case-insensitively.
-/// `adaptive` turns on the online pretenuring estimator (meaningful only
-/// under the pretenure plan; the other plans ignore it), so its
-/// promote/demote events appear in the timeline and JSONL.
+/// [`Benchmark::name`](tilgc_programs::Benchmark::name) and
+/// [`CollectorKind::label`](tilgc_core::CollectorKind::label)
+/// case-insensitively. `adaptive` turns on the online pretenuring
+/// estimator (meaningful only under the pretenure plan; the other plans
+/// ignore it), so its promote/demote events appear in the timeline and
+/// JSONL; `ttsp` turns on time-to-safepoint tracking, so collections
+/// that land away from a safepoint poll carry their distance from it.
 pub fn run(
     bench_name: &str,
     plan_label: &str,
     out_dir: &str,
     validate: bool,
     adaptive: bool,
+    ttsp: bool,
 ) -> ExitCode {
-    let Some(bench) = Benchmark::ALL
-        .iter()
-        .copied()
-        .find(|b| b.name().eq_ignore_ascii_case(bench_name))
-    else {
-        eprintln!(
-            "unknown benchmark {bench_name:?}; expected one of: {}",
-            Benchmark::ALL.map(|b| b.name()).join(", ")
-        );
-        return ExitCode::FAILURE;
+    let (bench, kind) = match find_bench_and_plan(bench_name, plan_label) {
+        Ok(found) => found,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
-    let Some(kind) = CollectorKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.label().eq_ignore_ascii_case(plan_label))
-    else {
-        eprintln!(
-            "unknown plan {plan_label:?}; expected one of: {}",
-            CollectorKind::ALL.map(|k| k.label()).join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
-
-    let scale = 1;
-    let mut cal = Calibration::new(scale);
-    let budget = cal.budget_for_k(bench, 4.0);
-    let mut config = config_with_budget(budget);
-    if kind == CollectorKind::GenerationalStackPretenure {
-        let (policy, _) = derive_pretenure_policy(bench, scale);
-        config = config.pretenure(policy);
-    }
-    if adaptive {
-        config = config.adaptive(AdaptiveConfig::default());
-    }
-
-    let recorder = Box::new(RingRecorder::with_capacity(RING_CAPACITY));
-    let mut vm = build_vm_with_recorder(kind, &config, recorder);
-    vm.mutator_mut().check_shadows = false;
-    let checksum = bench.run(&mut vm, scale);
-    vm.finish();
-
-    let events = RingRecorder::drain_events_from(vm.recorder_mut())
-        .expect("gc-log installed a RingRecorder");
-    let dropped = match vm
-        .recorder_mut()
-        .as_any_mut()
-        .downcast_mut::<RingRecorder>()
-    {
-        Some(r) => r.dropped(),
-        None => 0,
-    };
-    let sites: Vec<(u16, String)> = vm
-        .mutator()
-        .sites
-        .iter()
-        .map(|(id, name)| (id.get(), name.to_string()))
-        .collect();
+    let run = recorded_run(bench, kind, &mut Calibration::new(1), adaptive, ttsp);
+    let (events, sites, dropped) = (&run.events, &run.sites, run.dropped);
     let clock_hz = CostModel::default().clock_hz;
 
     println!(
-        "gc-log: {} on {} (budget {} bytes, checksum {checksum:#x})",
+        "gc-log: {} on {} (budget {} bytes, checksum {:#x})",
         bench.name(),
         kind.label(),
-        budget
+        run.budget,
+        run.checksum
     );
     if dropped > 0 {
         println!("warning: ring overflow dropped {dropped} oldest events");
     }
-    print_timeline(&events);
-    print_pressure(&events);
-    print_adaptive_flips(&events, &sites);
-    print_site_table(&events, &sites);
-    print_pause_summary(&events, events.len(), dropped, clock_hz);
+    print_timeline(events);
+    print_pressure(events);
+    print_adaptive_flips(events, sites);
+    print_site_table(events, sites);
+    print_pause_summary(events, dropped, clock_hz);
 
-    let jsonl_doc = jsonl::render(kind.label(), bench.name(), clock_hz, &sites, &events);
-    let chrome_doc = chrome::render(kind.label(), bench.name(), clock_hz, &events);
+    let jsonl_doc = jsonl::render(kind.label(), bench.name(), clock_hz, sites, events);
+    let chrome_doc = chrome::render(kind.label(), bench.name(), clock_hz, events);
     let stem = format!("gclog-{}-{}", bench.name(), kind.label());
     let jsonl_path = format!("{out_dir}/{stem}.jsonl");
     let chrome_path = format!("{out_dir}/{stem}.trace.json");
@@ -184,18 +134,10 @@ fn group_collections(events: &[Event]) -> BTreeMap<u64, CollectionRow> {
                 row.frames_scanned = c.frames_scanned;
                 row.frames_reused = c.frames_reused;
             }
-            Event::SiteSample(_) => {}
-            // Pressure episodes sit between collections; they get their
-            // own section of the report rather than a timeline row.
-            Event::PressureBegin(_) | Event::PressureRung(_) | Event::PressureEnd(_) => {}
-            // Adaptive site flips likewise get their own section.
-            Event::SitePromote(_) | Event::SiteDemote(_) => {}
-            // Degradation episodes annotate a collection that already
-            // has a timeline row; the row's cycles include the serial
-            // drain, so the episode adds no separate entry.
-            Event::DegradationBegin(_) | Event::DegradationEnd(_) => {}
-            // Censuses feed the pause/occupancy footer, not the timeline.
-            Event::HeapCensus(_) => {}
+            // Site samples, pressure episodes and adaptive flips get
+            // their own sections; degradation episodes and censuses
+            // annotate a collection that already has its row.
+            _ => {}
         }
     }
     rows
@@ -204,7 +146,7 @@ fn group_collections(events: &[Event]) -> BTreeMap<u64, CollectionRow> {
 /// Prints the latency footer: pause percentiles from the streaming
 /// histogram, the MMU at millisecond-equivalent windows, and the
 /// recorder's event/drop accounting.
-fn print_pause_summary(events: &[Event], event_count: usize, dropped: u64, clock_hz: u64) {
+fn print_pause_summary(events: &[Event], dropped: u64, clock_hz: u64) {
     let metrics = PauseMetrics::from_events(events);
     let h = metrics.histogram();
     println!();
@@ -228,7 +170,7 @@ fn print_pause_summary(events: &[Event], event_count: usize, dropped: u64, clock
             .collect();
         println!("MMU (min mutator utilization): {}", mmu.join(" "));
     }
-    println!("recorder: {event_count} events, {dropped} dropped");
+    println!("recorder: {} events, {dropped} dropped", events.len());
 }
 
 /// Prints the heap-pressure episodes: one line per episode with its
@@ -275,18 +217,19 @@ fn print_pressure(events: &[Event]) {
     }
 }
 
+/// The name the meta line's site table gives `id` (`?` if none).
+fn site_name(sites: &[(u16, String)], id: u16) -> &str {
+    sites
+        .iter()
+        .find(|(sid, _)| *sid == id)
+        .map_or("?", |(_, n)| n.as_str())
+}
+
 /// Prints the adaptive pretenuring flips, one line per promote/demote
 /// with the collection it happened at and the estimator's survival EWMA
 /// at decision time. Silent when the run had none (adaptation off, or
 /// nothing drifted).
 fn print_adaptive_flips(events: &[Event], sites: &[(u16, String)]) {
-    let name_of = |id: u16| {
-        sites
-            .iter()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, n)| n.as_str())
-            .unwrap_or("?")
-    };
     let mut printed_header = false;
     let mut header = || {
         if !printed_header {
@@ -302,7 +245,7 @@ fn print_adaptive_flips(events: &[Event], sites: &[(u16, String)]) {
                 println!(
                     "  gc#{:<4} promote {:<24} (survival {}‰)",
                     p.collection,
-                    name_of(p.site),
+                    site_name(sites, p.site),
                     p.survival_permille
                 );
             }
@@ -311,7 +254,7 @@ fn print_adaptive_flips(events: &[Event], sites: &[(u16, String)]) {
                 println!(
                     "  gc#{:<4} demote  {:<24} (survival {}‰, {})",
                     d.collection,
-                    name_of(d.site),
+                    site_name(sites, d.site),
                     d.survival_permille,
                     d.reason
                 );
@@ -379,18 +322,9 @@ fn print_timeline(events: &[Event]) {
     }
 }
 
-/// Cumulative per-site counters, summed over every collection's sample.
-#[derive(Default)]
-struct SiteRow {
-    allocs: u64,
-    alloc_bytes: u64,
-    copied_objects: u64,
-    copied_bytes: u64,
-    survived: u64,
-}
-
 fn print_site_table(events: &[Event], sites: &[(u16, String)]) {
-    let mut rows: BTreeMap<u16, SiteRow> = BTreeMap::new();
+    // Cumulative per-site counters, summed over every collection's sample.
+    let mut rows: BTreeMap<u16, SiteWindow> = BTreeMap::new();
     for e in events {
         if let Event::SiteSample(s) = e {
             let row = rows.entry(s.site).or_default();
@@ -404,19 +338,12 @@ fn print_site_table(events: &[Event], sites: &[(u16, String)]) {
     if rows.is_empty() {
         return;
     }
-    let name_of = |id: u16| {
-        sites
-            .iter()
-            .find(|(sid, _)| *sid == id)
-            .map(|(_, n)| n.as_str())
-            .unwrap_or("?")
-    };
     println!();
     println!(
         "{:<28} {:>10} {:>12} {:>10} {:>12} {:>9}",
         "site", "allocs", "alloc bytes", "copies", "copied bytes", "survive%"
     );
-    let mut ordered: Vec<(&u16, &SiteRow)> = rows.iter().collect();
+    let mut ordered: Vec<(&u16, &SiteWindow)> = rows.iter().collect();
     ordered.sort_by(|a, b| b.1.alloc_bytes.cmp(&a.1.alloc_bytes).then(a.0.cmp(b.0)));
     for (id, row) in ordered {
         let pct = if row.allocs == 0 {
@@ -426,7 +353,7 @@ fn print_site_table(events: &[Event], sites: &[(u16, String)]) {
         };
         println!(
             "{:<28} {:>10} {:>12} {:>10} {:>12} {:>8.1}%",
-            name_of(*id),
+            site_name(sites, *id),
             row.allocs,
             row.alloc_bytes,
             row.copied_objects,

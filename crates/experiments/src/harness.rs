@@ -14,7 +14,11 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use tilgc_core::{build_vm, CollectorKind, GcConfig, MarkerPolicy, PretenurePolicy};
+use tilgc_core::{
+    build_vm, build_vm_with_recorder, AdaptiveConfig, CollectorKind, GcConfig, MarkerPolicy,
+    PretenurePolicy,
+};
+use tilgc_obs::{Event, RingRecorder};
 use tilgc_programs::Benchmark;
 use tilgc_runtime::{CostModel, GcStats, HeapProfile, MutatorStats, StackStats};
 
@@ -232,6 +236,101 @@ pub fn derive_pretenure_policy(bench: Benchmark, scale: u32) -> (PretenurePolicy
     let profile = result.profile.as_ref().expect("profiling was enabled");
     let policy = tilgc_profile::derive_policy(profile, &tilgc_profile::PolicyOptions::default());
     (policy, result)
+}
+
+/// Finds a benchmark and a collector plan by name, case-insensitively
+/// ([`Benchmark::name`], [`CollectorKind::label`]).
+pub fn find_bench_and_plan(bench: &str, plan: &str) -> Result<(Benchmark, CollectorKind), String> {
+    let b = Benchmark::ALL
+        .into_iter()
+        .find(|b| b.name().eq_ignore_ascii_case(bench))
+        .ok_or_else(|| {
+            format!(
+                "unknown benchmark {bench:?}; expected one of: {}",
+                Benchmark::ALL.map(|b| b.name()).join(", ")
+            )
+        })?;
+    let kind = CollectorKind::ALL
+        .into_iter()
+        .find(|k| k.label().eq_ignore_ascii_case(plan))
+        .ok_or_else(|| {
+            format!(
+                "unknown plan {plan:?}; expected one of: {}",
+                CollectorKind::ALL.map(|k| k.label()).join(", ")
+            )
+        })?;
+    Ok((b, kind))
+}
+
+/// Event capacity of the recording ring: enough for every collection the
+/// scaled benchmarks perform with plenty of headroom. Overflow drops the
+/// oldest events (and the tools report it), never the run.
+const RING_CAPACITY: usize = 1 << 20;
+
+/// One benchmark run recorded by [`recorded_run`].
+pub struct RecordedRun {
+    /// The heap budget the run had.
+    pub budget: usize,
+    /// The program's result checksum.
+    pub checksum: u64,
+    /// The recorded event stream, oldest first.
+    pub events: Vec<Event>,
+    /// Events the ring dropped (oldest first) to its bound.
+    pub dropped: u64,
+    /// The run's allocation sites, as the JSONL meta line lists them.
+    pub sites: Vec<(u16, String)>,
+    /// Simulated client + GC cycles of the whole run: the MMU horizon.
+    pub total_cycles: u64,
+}
+
+/// Runs `bench` under `kind` at the calibrated k = 4.0 budget with a
+/// ring recorder attached — the rig behind `gc-log`, `slo-report`'s live
+/// mode and `bench-json`'s pause lanes. The pretenure plan gets the
+/// profile-derived policy; `adaptive` turns the online pretenuring
+/// estimator on, and `ttsp` time-to-safepoint tracking (observational:
+/// it charges no cycles).
+pub fn recorded_run(
+    bench: Benchmark,
+    kind: CollectorKind,
+    cal: &mut Calibration,
+    adaptive: bool,
+    ttsp: bool,
+) -> RecordedRun {
+    let scale = cal.scale();
+    let budget = cal.budget_for_k(bench, 4.0);
+    let mut config = config_with_budget(budget).track_ttsp(ttsp);
+    if kind == CollectorKind::GenerationalStackPretenure {
+        let (policy, _) = derive_pretenure_policy(bench, scale);
+        config = config.pretenure(policy);
+    }
+    if adaptive {
+        config = config.adaptive(AdaptiveConfig::default());
+    }
+    let recorder = Box::new(RingRecorder::with_capacity(RING_CAPACITY));
+    let mut vm = build_vm_with_recorder(kind, &config, recorder);
+    vm.mutator_mut().check_shadows = false;
+    let checksum = bench.run(&mut vm, scale);
+    vm.finish();
+    let total_cycles = vm.mutator_stats().client_cycles + vm.gc_stats().gc_cycles();
+    let sites = vm
+        .mutator()
+        .sites
+        .iter()
+        .map(|(id, name)| (id.get(), name.to_string()))
+        .collect();
+    let ring = vm
+        .recorder_mut()
+        .as_any_mut()
+        .downcast_mut::<RingRecorder>()
+        .expect("the rig installed a RingRecorder");
+    RecordedRun {
+        budget,
+        checksum,
+        events: ring.drain(),
+        dropped: ring.dropped(),
+        sites,
+        total_cycles,
+    }
 }
 
 /// The paper's `k` sweep.

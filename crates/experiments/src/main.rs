@@ -7,7 +7,7 @@
 //! experiments bench-compare [--baseline FILE] [--candidate FILE]
 //!                           [--max-regress-pct N]
 //! experiments gc-log [--bench NAME] [--plan LABEL] [--out-dir DIR]
-//!                    [--validate] [--adaptive]
+//!                    [--validate] [--adaptive] [--ttsp]
 //! experiments slo-report [--input FILE.jsonl | --bench NAME --plan LABEL
 //!                        [--adaptive] [--ttsp]] [--validate] [--report FILE]
 //!                        [--max-p50 C] [--max-p90 C] [--max-p99 C]
@@ -33,8 +33,10 @@
 //! an ASCII per-collection phase timeline and per-site survival table,
 //! and writes the event stream as JSONL plus a Chrome/Perfetto trace
 //! into `--out-dir` (default `gclog`); `--validate` additionally checks
-//! both files against the documented schema, and `--adaptive` turns the
-//! online pretenuring estimator on so its site flips show up in the log.
+//! both files against the documented schema, `--adaptive` turns the
+//! online pretenuring estimator on so its site flips show up in the log,
+//! and `--ttsp` turns time-to-safepoint tracking on so the log's
+//! collection-begin lines carry it.
 //! `slo-report` evaluates pause-time service-level objectives: it reads
 //! an event stream (a `gc-log` JSONL via `--input`, or a live run of
 //! `--bench` under `--plan` — the gc-log rig), prints the pause
@@ -67,7 +69,33 @@ mod tables;
 
 use std::process::ExitCode;
 
+/// The value after flag `args[*i]`, advancing `*i` past it: parsed as
+/// `T` and accepted by `ok`, else the error "`<flag>` needs `<what>`".
+fn flag_value<T: std::str::FromStr>(
+    args: &[String],
+    i: &mut usize,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
+        .and_then(|s| s.parse().ok())
+        .filter(|v| ok(v))
+        .ok_or_else(|| format!("{flag} needs {what}"))
+}
+
 fn main() -> ExitCode {
+    match run() {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Option<String> = None;
     let mut scale: u32 = 1;
@@ -89,171 +117,70 @@ fn main() -> ExitCode {
     // Window the next `--min-mmu` bound applies at: 10 ms at the default
     // 150 MHz clock.
     let mut mmu_window: u64 = 1_500_000;
+    let any = |_: &String| true;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--baseline" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--baseline needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                baseline = path.clone();
-            }
-            "--candidate" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--candidate needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                candidate = path.clone();
-            }
+        let i = &mut i;
+        match args[*i].as_str() {
+            "--baseline" => baseline = flag_value(&args, i, "a file path", any)?,
+            "--candidate" => candidate = flag_value(&args, i, "a file path", any)?,
             "--max-regress-pct" => {
-                i += 1;
-                max_regress_pct = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(p) if p >= 0.0 => p,
-                    _ => {
-                        eprintln!("--max-regress-pct needs a non-negative number");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                max_regress_pct =
+                    flag_value(&args, i, "a non-negative number", |p: &f64| *p >= 0.0)?;
             }
-            "--out" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                out = path.clone();
-            }
+            "--out" => out = flag_value(&args, i, "a file path", any)?,
             "--csv" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--csv needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                csv_sink = match csv::CsvSink::into_dir(std::path::Path::new(dir)) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("--csv {dir}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let dir: String = flag_value(&args, i, "a directory", any)?;
+                csv_sink = csv::CsvSink::into_dir(std::path::Path::new(&dir))
+                    .map_err(|e| format!("--csv {dir}: {e}"))?;
             }
-            "--bench" => {
-                i += 1;
-                let Some(name) = args.get(i) else {
-                    eprintln!("--bench needs a benchmark name");
-                    return ExitCode::FAILURE;
-                };
-                bench = name.clone();
-            }
-            "--plan" => {
-                i += 1;
-                let Some(label) = args.get(i) else {
-                    eprintln!("--plan needs a collector label");
-                    return ExitCode::FAILURE;
-                };
-                plan = label.clone();
-            }
-            "--out-dir" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--out-dir needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                out_dir = dir.clone();
-            }
+            "--bench" => bench = flag_value(&args, i, "a benchmark name", any)?,
+            "--plan" => plan = flag_value(&args, i, "a collector label", any)?,
+            "--out-dir" => out_dir = flag_value(&args, i, "a directory", any)?,
             "--validate" => validate = true,
             "--adaptive" => adaptive = true,
             "--ttsp" => ttsp = true,
-            "--input" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--input needs a JSONL file path");
-                    return ExitCode::FAILURE;
-                };
-                input = Some(path.clone());
-            }
-            "--report" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--report needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                report = Some(path.clone());
-            }
+            "--input" => input = Some(flag_value(&args, i, "a JSONL file path", any)?),
+            "--report" => report = Some(flag_value(&args, i, "a file path", any)?),
             flag @ ("--max-p50" | "--max-p90" | "--max-p99" | "--max-p999") => {
-                i += 1;
-                let Some(bound) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("{flag} needs a cycle count");
-                    return ExitCode::FAILURE;
-                };
                 let permille = match flag {
                     "--max-p50" => 500,
                     "--max-p90" => 900,
                     "--max-p99" => 990,
                     _ => 999,
                 };
+                let bound = flag_value(&args, i, "a cycle count", |_: &u64| true)?;
                 spec.max_pause.push((permille, bound));
             }
             "--mmu-window" => {
-                i += 1;
-                mmu_window = match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(w) if w > 0 => w,
-                    _ => {
-                        eprintln!("--mmu-window needs a positive cycle count");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                mmu_window = flag_value(&args, i, "a positive cycle count", |w: &u64| *w > 0)?;
             }
             "--min-mmu" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(p) if p <= 1000 => spec.min_mmu.push((mmu_window, p)),
-                    _ => {
-                        eprintln!("--min-mmu needs a permille value (0..=1000)");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let floor = flag_value(&args, i, "a permille value (0..=1000)", |p: &u64| {
+                    *p <= 1000
+                })?;
+                spec.min_mmu.push((mmu_window, floor));
             }
             "--workers" => {
-                i += 1;
-                workers = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(w) if w >= 1 => w,
-                    _ => {
-                        eprintln!("--workers needs a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                workers = flag_value(&args, i, "a positive integer", |w: &usize| *w >= 1)?;
             }
-            "--scale" => {
-                i += 1;
-                scale = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--scale needs a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
+            "--scale" => scale = flag_value(&args, i, "a positive integer", |_: &u32| true)?,
             other if which.is_none() => which = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument: {other}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unexpected argument: {other}")),
         }
-        i += 1;
+        *i += 1;
     }
     let which = which.unwrap_or_else(|| "all".to_string());
     if which == "bench-compare" {
-        return compare::run(&baseline, &candidate, max_regress_pct);
+        return Ok(compare::run(&baseline, &candidate, max_regress_pct));
     }
     if which == "gc-log" {
-        return gclog::run(&bench, &plan, &out_dir, validate, adaptive);
+        return Ok(gclog::run(
+            &bench, &plan, &out_dir, validate, adaptive, ttsp,
+        ));
     }
     if which == "slo-report" {
-        return slo::run(&slo::SloRequest {
+        return Ok(slo::run(&slo::SloRequest {
             input,
             bench,
             plan,
@@ -262,11 +189,11 @@ fn main() -> ExitCode {
             validate,
             report,
             spec,
-        });
+        }));
     }
     if which == "drift" {
         drift::run();
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let run = |name: &str| match name {
         "table1" => tables::table1(),
@@ -305,5 +232,5 @@ fn main() -> ExitCode {
     } else {
         run(&which);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

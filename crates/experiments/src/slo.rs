@@ -1,17 +1,17 @@
 //! `experiments slo-report` — evaluates pause-time/MMU service-level
 //! objectives over a telemetry event stream.
 //!
-//! Two sources: `--input FILE.jsonl` replays a stream previously written
-//! by `gc-log` (or any producer of the documented schema), while the
-//! default live mode runs one benchmark under one collector with the
-//! recorder attached — the same rig as `gc-log` — and evaluates the
-//! stream it just captured. Either way the report is computed entirely
-//! in the deterministic cycle domain: the percentile table comes from
-//! the streaming [`PauseHistogram`](tilgc_obs::metrics::PauseHistogram),
-//! the MMU curve from the exact sliding-window minimum, and the verdict
-//! from an [`SloSpec`] assembled out of `--max-p*`/`--min-mmu` bounds.
-//! Any violated bound makes the process exit nonzero, which is what lets
-//! CI gate on it.
+//! Two sources: `--input FILE.jsonl` decodes a stream previously written
+//! by `gc-log` (or any producer of the documented schema) back into
+//! events, while the default live mode runs one benchmark under one
+//! collector with the recorder attached — the same rig as `gc-log` —
+//! and takes the events it just captured. Both then go through one
+//! summarizer, computed entirely in the deterministic cycle domain: the
+//! percentile table comes from the streaming [`PauseHistogram`], the MMU
+//! curve from the exact sliding-window minimum, and the verdict from an
+//! [`SloSpec`] assembled out of `--max-p*`/`--min-mmu` bounds. Any
+//! violated bound makes the process exit nonzero, which is what lets CI
+//! gate on it.
 //!
 //! Time-to-safepoint is surfaced alongside the pauses whenever the
 //! stream carries it: replayed files contribute their `ttsp_cycles`
@@ -27,17 +27,12 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use tilgc_core::{build_vm_with_recorder, AdaptiveConfig, CollectorKind};
-use tilgc_obs::json;
-use tilgc_obs::metrics::{fmt_permille, PauseMetrics, SloSpec, TtspMetrics};
-use tilgc_obs::{jsonl, schema, Event, RingRecorder};
-use tilgc_programs::Benchmark;
+use tilgc_obs::metrics::{fmt_permille, PauseHistogram, PauseMetrics, SloSpec, TtspMetrics};
+use tilgc_obs::table::Record;
+use tilgc_obs::{jsonl, schema, Event, SpaceCensus};
 use tilgc_runtime::CostModel;
 
-use crate::harness::{config_with_budget, derive_pretenure_policy, Calibration};
-
-/// Ring capacity for live runs; matches `gc-log`.
-const RING_CAPACITY: usize = 1 << 20;
+use crate::harness::{find_bench_and_plan, recorded_run, Calibration};
 
 /// Width of the MMU bar, in character cells (one cell per 40‰).
 const MMU_BAR_WIDTH: usize = 25;
@@ -67,54 +62,34 @@ pub struct SloRequest {
     pub spec: SloSpec,
 }
 
-/// One space row of the most recent heap census, for the report footer.
-struct CensusRow {
-    space: String,
-    used_words: u64,
-    reserved_words: u64,
-    chunks: u64,
-}
-
-/// The last heap census seen in the stream.
-#[derive(Default)]
-struct LastCensus {
-    collection: u64,
-    pretenured_sites: u64,
-    rows: Vec<CensusRow>,
-}
-
-/// Everything extracted from a stream, whatever its source.
-struct StreamSummary {
+/// An event stream, whatever its source.
+struct Stream {
     source: String,
     plan: String,
     bench: String,
     clock_hz: u64,
-    metrics: PauseMetrics,
-    /// Time-to-safepoint observations, one per collection. All-zero
-    /// when the stream was recorded without TTSP tracking (the JSONL
-    /// sink omits the field for zero), so the report section is gated
-    /// on a nonzero maximum.
-    ttsp: TtspMetrics,
-    census: Option<LastCensus>,
-    event_count: usize,
+    events: Vec<Event>,
+    /// Events the recorder's ring dropped (a file has no ring: whatever
+    /// was dropped at record time is simply absent from it).
     dropped: u64,
+    /// The timeline's end: the run's `client + gc` cycle total for live
+    /// runs, 0 (the last event) for replays.
+    horizon: u64,
 }
 
 pub fn run(req: &SloRequest) -> ExitCode {
-    let summary = match &req.input {
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))
-            .and_then(|doc| summarize_jsonl(&doc, path, req.validate)),
-        None => summarize_live_run(req),
+    let stream = match &req.input {
+        Some(path) => replay(path, req.validate),
+        None => live_run(req),
     };
-    let summary = match summary {
+    let stream = match stream {
         Ok(s) => s,
         Err(e) => {
             eprintln!("slo-report: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let (text, violations) = render_report(&summary, &req.spec);
+    let (text, violations) = render_report(&stream, &req.spec);
     print!("{text}");
     if let Some(path) = &req.report {
         if let Err(e) = std::fs::write(path, &text) {
@@ -130,227 +105,94 @@ pub fn run(req: &SloRequest) -> ExitCode {
     }
 }
 
-/// Replays a JSONL document read from `path` into a [`StreamSummary`]
-/// without reconstructing `Event` values: each line is parsed and only
-/// the fields the metrics need are read.
-fn summarize_jsonl(doc: &str, path: &str, validate: bool) -> Result<StreamSummary, String> {
+/// Decodes the JSONL file at `path` back into its events.
+fn replay(path: &str, validate: bool) -> Result<Stream, String> {
+    let doc = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if validate {
-        let n = schema::validate_jsonl(doc).map_err(|e| format!("{path}: schema: {e}"))?;
+        let n = schema::validate_jsonl(&doc).map_err(|e| format!("{path}: schema: {e}"))?;
         println!("validate: {n} JSONL lines conform to the schema");
     }
-    let mut metrics = PauseMetrics::new();
-    let mut ttsp = TtspMetrics::new();
-    let mut plan = String::from("?");
-    let mut bench = String::from("?");
-    let mut clock_hz = CostModel::default().clock_hz;
-    let mut census: Option<LastCensus> = None;
-    let mut open: Option<u64> = None;
-    let mut event_count = 0usize;
-    for (i, line) in doc.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        let kind = v
-            .get("type")
-            .and_then(|t| t.as_str())
-            .ok_or_else(|| format!("{path}:{}: line without a type", i + 1))?;
-        let num = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(|n| n.as_u64())
-                .ok_or_else(|| format!("{path}:{}: {kind} missing {key}", i + 1))
-        };
-        match kind {
-            "meta" => {
-                clock_hz = num("clock_hz")?;
-                if let Some(p) = v.get("plan").and_then(|p| p.as_str()) {
-                    plan = p.to_string();
-                }
-                if let Some(b) = v.get("bench").and_then(|b| b.as_str()) {
-                    bench = b.to_string();
-                }
-                continue; // not an event
-            }
-            "collection-begin" => {
-                open = Some(num("start_cycles")?);
-                // Optional: the sink omits it when zero (and always,
-                // before TTSP tracking existed).
-                ttsp.push(v.get("ttsp_cycles").and_then(|n| n.as_u64()).unwrap_or(0));
-            }
-            "collection-end" => {
-                let gc_cycles = num("gc_cycles")?;
-                let end_cycles = num("end_cycles")?;
-                let start = open
-                    .take()
-                    .unwrap_or_else(|| end_cycles.saturating_sub(gc_cycles));
-                metrics.push_pause(start, end_cycles, gc_cycles);
-            }
-            "heap-census" => {
-                let mut last = LastCensus {
-                    collection: num("collection")?,
-                    pretenured_sites: num("pretenured_sites")?,
-                    rows: Vec::new(),
-                };
-                let spaces = v
-                    .get("spaces")
-                    .and_then(|s| s.as_array())
-                    .ok_or_else(|| format!("{path}:{}: census without spaces", i + 1))?;
-                for s in spaces {
-                    let field = |key: &str| s.get(key).and_then(|n| n.as_u64()).unwrap_or(0);
-                    last.rows.push(CensusRow {
-                        space: s
-                            .get("space")
-                            .and_then(|n| n.as_str())
-                            .unwrap_or("?")
-                            .to_string(),
-                        used_words: field("used_words"),
-                        reserved_words: field("reserved_words"),
-                        chunks: field("chunks"),
-                    });
-                }
-                census = Some(last);
-            }
-            _ => {}
-        }
-        event_count += 1;
-    }
-    Ok(StreamSummary {
+    let (meta, events) = jsonl::decode_jsonl(&doc).map_err(|e| format!("{path}: {e}"))?;
+    Ok(Stream {
         source: path.to_string(),
-        plan,
-        bench,
-        clock_hz,
-        metrics,
-        ttsp,
-        census,
-        event_count,
-        // A file has no ring; whatever was dropped at record time is
-        // simply absent from it.
+        plan: meta.plan,
+        bench: meta.bench,
+        clock_hz: meta.clock_hz,
+        events,
         dropped: 0,
+        horizon: 0,
     })
 }
 
-/// Runs one benchmark with the recorder attached — the `gc-log` rig —
-/// and summarizes the captured stream.
-fn summarize_live_run(req: &SloRequest) -> Result<StreamSummary, String> {
-    let bench = Benchmark::ALL
-        .iter()
-        .copied()
-        .find(|b| b.name().eq_ignore_ascii_case(&req.bench))
-        .ok_or_else(|| {
-            format!(
-                "unknown benchmark {:?}; expected one of: {}",
-                req.bench,
-                Benchmark::ALL.map(|b| b.name()).join(", ")
-            )
-        })?;
-    let kind = CollectorKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.label().eq_ignore_ascii_case(&req.plan))
-        .ok_or_else(|| {
-            format!(
-                "unknown plan {:?}; expected one of: {}",
-                req.plan,
-                CollectorKind::ALL.map(|k| k.label()).join(", ")
-            )
-        })?;
-
-    let scale = 1;
-    let mut cal = Calibration::new(scale);
-    let budget = cal.budget_for_k(bench, 4.0);
-    let mut config = config_with_budget(budget);
-    if kind == CollectorKind::GenerationalStackPretenure {
-        let (policy, _) = derive_pretenure_policy(bench, scale);
-        config = config.pretenure(policy);
-    }
-    if req.adaptive {
-        config = config.adaptive(AdaptiveConfig::default());
-    }
-    if req.ttsp {
-        config = config.track_ttsp(true);
-    }
-
-    let recorder = Box::new(RingRecorder::with_capacity(RING_CAPACITY));
-    let mut vm = build_vm_with_recorder(kind, &config, recorder);
-    vm.mutator_mut().check_shadows = false;
-    bench.run(&mut vm, scale);
-    vm.finish();
-
-    let stats = *vm.gc_stats();
-    let client_cycles = vm.mutator_stats().client_cycles;
-    let events = RingRecorder::drain_events_from(vm.recorder_mut())
-        .expect("slo-report installed a RingRecorder");
-    let dropped = match vm
-        .recorder_mut()
-        .as_any_mut()
-        .downcast_mut::<RingRecorder>()
-    {
-        Some(r) => r.dropped(),
-        None => 0,
-    };
+/// Runs one benchmark on the recorded-run rig and takes its stream.
+fn live_run(req: &SloRequest) -> Result<Stream, String> {
+    let (bench, kind) = find_bench_and_plan(&req.bench, &req.plan)?;
+    let run = recorded_run(
+        bench,
+        kind,
+        &mut Calibration::new(1),
+        req.adaptive,
+        req.ttsp,
+    );
     let clock_hz = CostModel::default().clock_hz;
-
     if req.validate {
-        let sites: Vec<(u16, String)> = vm
-            .mutator()
-            .sites
-            .iter()
-            .map(|(id, name)| (id.get(), name.to_string()))
-            .collect();
-        let doc = jsonl::render(kind.label(), bench.name(), clock_hz, &sites, &events);
+        let doc = jsonl::render(
+            kind.label(),
+            bench.name(),
+            clock_hz,
+            &run.sites,
+            &run.events,
+        );
         let n = schema::validate_jsonl(&doc).map_err(|e| format!("schema: {e}"))?;
         println!("validate: {n} JSONL lines conform to the schema");
     }
-
-    let mut metrics = PauseMetrics::from_events(&events);
-    metrics.set_horizon(client_cycles + stats.gc_cycles());
-    let ttsp = TtspMetrics::from_events(&events);
-    let census = events.iter().rev().find_map(|e| match e {
-        Event::HeapCensus(c) => Some(LastCensus {
-            collection: c.collection,
-            pretenured_sites: c.pretenured_sites,
-            rows: c
-                .spaces
-                .iter()
-                .map(|s| CensusRow {
-                    space: s.space.to_string(),
-                    used_words: s.used_words,
-                    reserved_words: s.reserved_words,
-                    chunks: s.chunks,
-                })
-                .collect(),
-        }),
-        _ => None,
-    });
-    Ok(StreamSummary {
+    Ok(Stream {
         source: format!("{} on {} (live)", bench.name(), kind.label()),
         plan: kind.label().to_string(),
         bench: bench.name().to_string(),
         clock_hz,
-        metrics,
-        ttsp,
-        census,
-        event_count: events.len(),
-        dropped,
+        events: run.events,
+        dropped: run.dropped,
+        horizon: run.total_cycles,
     })
 }
 
+/// Writes a percentile table: the `permilles` rows and a `max` row, in
+/// cycles and in milliseconds of `model`'s clock.
+fn push_percentiles(out: &mut String, model: &CostModel, h: &PauseHistogram, permilles: &[u64]) {
+    let _ = writeln!(out, "  {:>6} {:>14} {:>12}", "pctl", "cycles", "ms");
+    let rows = permilles
+        .iter()
+        .map(|&p| (format!("p{}", fmt_permille(p)), h.percentile(p)));
+    for (name, value) in rows.chain([("max".to_string(), h.max())]) {
+        let ms = model.secs(value) * 1000.0;
+        let _ = writeln!(out, "  {name:>6} {value:>14} {ms:>12.3}");
+    }
+}
+
 /// Renders the full report and returns it with the violation count.
-fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
+fn render_report(stream: &Stream, spec: &SloSpec) -> (String, usize) {
+    let mut metrics = PauseMetrics::from_events(&stream.events);
+    metrics.set_horizon(stream.horizon);
+    let ttsp = TtspMetrics::from_events(&stream.events);
+    let census = stream.events.iter().rev().find_map(|e| match e {
+        Event::HeapCensus(c) => Some(c),
+        _ => None,
+    });
     let mut out = String::new();
     let model = CostModel {
-        clock_hz: summary.clock_hz,
+        clock_hz: stream.clock_hz,
         ..CostModel::default()
     };
-    let h = summary.metrics.histogram();
-    let _ = writeln!(out, "slo-report: {}", summary.source);
+    let h = metrics.histogram();
+    let _ = writeln!(out, "slo-report: {}", stream.source);
     let _ = writeln!(
         out,
         "plan {}, bench {}, clock {} Hz, horizon {} cycles",
-        summary.plan,
-        summary.bench,
-        summary.clock_hz,
-        summary.metrics.horizon()
+        stream.plan,
+        stream.bench,
+        stream.clock_hz,
+        metrics.horizon()
     );
     let _ = writeln!(out);
     let _ = writeln!(
@@ -359,26 +201,13 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
         h.count(),
         h.sum()
     );
-    let _ = writeln!(out, "  {:>6} {:>14} {:>12}", "pctl", "cycles", "ms");
-    for (name, value) in [
-        ("p50", h.percentile(500)),
-        ("p90", h.percentile(900)),
-        ("p99", h.percentile(990)),
-        ("p99.9", h.percentile(999)),
-        ("max", h.max()),
-    ] {
-        let _ = writeln!(
-            out,
-            "  {name:>6} {value:>14} {:>12.3}",
-            model.secs(value) * 1000.0
-        );
-    }
+    push_percentiles(&mut out, &model, h, &[500, 900, 990, 999]);
 
     // Time-to-safepoint: only rendered when the stream actually carries
     // nonzero observations (a run without `track_ttsp` — or any
     // pre-TTSP trace — reads as all zeros and keeps the report
     // byte-identical to what it printed before the section existed).
-    let t = summary.ttsp.histogram();
+    let t = ttsp.histogram();
     if t.max() > 0 {
         let _ = writeln!(out);
         let _ = writeln!(
@@ -386,19 +215,7 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
             "time-to-safepoint ({} collections, client cycles since last poll):",
             t.count()
         );
-        let _ = writeln!(out, "  {:>6} {:>14} {:>12}", "pctl", "cycles", "ms");
-        for (name, value) in [
-            ("p50", t.percentile(500)),
-            ("p90", t.percentile(900)),
-            ("p99", t.percentile(990)),
-            ("max", t.max()),
-        ] {
-            let _ = writeln!(
-                out,
-                "  {name:>6} {value:>14} {:>12.3}",
-                model.secs(value) * 1000.0
-            );
-        }
+        push_percentiles(&mut out, &model, t, &[500, 900, 990]);
     }
 
     // The curve rows: the standard millisecond ladder plus every window
@@ -414,24 +231,25 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
     let _ = writeln!(out);
     let _ = writeln!(out, "MMU curve (min mutator utilization):");
     let _ = writeln!(out, "  {:>14} {:>8}", "window(cycles)", "permille");
-    for (window, mmu) in summary.metrics.mmu_curve(&windows) {
+    for (window, mmu) in metrics.mmu_curve(&windows) {
         let bar = "#".repeat((mmu as usize * MMU_BAR_WIDTH) / 1000);
         let _ = writeln!(out, "  {window:>14} {mmu:>8}  {bar}");
     }
 
-    if let Some(census) = &summary.census {
+    if let Some(census) = census {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
             "heap census (after collection {}, {} pretenured site(s)):",
             census.collection, census.pretenured_sites
         );
+        let keys: Vec<&str> = SpaceCensus::FIELDS.iter().map(|f| f.key).collect();
         let _ = writeln!(
             out,
             "  {:<10} {:>12} {:>15} {:>7}",
-            "space", "used_words", "reserved_words", "chunks"
+            keys[0], keys[1], keys[2], keys[3]
         );
-        for row in &census.rows {
+        for row in &census.spaces {
             let _ = writeln!(
                 out,
                 "  {:<10} {:>12} {:>15} {:>7}",
@@ -443,7 +261,8 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
     let _ = writeln!(
         out,
         "recorder: {} events, {} dropped",
-        summary.event_count, summary.dropped
+        stream.events.len(),
+        stream.dropped
     );
 
     let _ = writeln!(out);
@@ -451,7 +270,7 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
         let _ = writeln!(out, "slo: no bounds configured (report only)");
         return (out, 0);
     }
-    let violations = spec.evaluate(&summary.metrics);
+    let violations = spec.evaluate(&metrics);
     for &(permille, bound) in &spec.max_pause {
         let actual = h.percentile(permille);
         let verdict = if actual > bound { "VIOLATED" } else { "ok" };
@@ -462,7 +281,7 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
         );
     }
     for &(window, floor) in &spec.min_mmu {
-        let actual = summary.metrics.mmu(window);
+        let actual = metrics.mmu(window);
         let verdict = if actual < floor { "VIOLATED" } else { "ok" };
         let _ = writeln!(
             out,
@@ -484,44 +303,118 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tilgc_obs::{CollectionBegin, CollectionEnd, HeapCensus, Hist};
 
-    /// A minimal schema-shaped stream: the fields the summarizer reads
-    /// are the documented ones, so these literals track the real schema.
-    fn sample_doc() -> String {
-        [
-            r#"{"type":"meta","plan":"gen+markers","bench":"Checksum","clock_hz":100000,"sites":[]}"#,
-            r#"{"type":"collection-begin","collection":1,"plan":"gen+markers","reason":"alloc-failure","major":false,"depth":2,"start_cycles":1000}"#,
-            r#"{"type":"collection-end","collection":1,"gc_cycles":500,"end_cycles":1500}"#,
-            r#"{"type":"heap-census","collection":1,"pretenured_sites":3,"spaces":[{"space":"nursery","used_words":10,"reserved_words":64,"chunks":1}]}"#,
-            r#"{"type":"collection-end","collection":2,"gc_cycles":200,"end_cycles":4000}"#,
-        ]
-        .join("\n")
+    fn begin(collection: u64, start_cycles: u64, ttsp_cycles: u64) -> Event {
+        Event::CollectionBegin(CollectionBegin {
+            collection,
+            plan: "generational",
+            reason: "alloc-failure",
+            major: false,
+            depth: 2,
+            start_cycles,
+            ttsp_cycles,
+        })
     }
 
-    fn summary_of(doc: &str) -> StreamSummary {
-        summarize_jsonl(doc, "sample", false).unwrap()
+    fn end(collection: u64, gc_cycles: u64, end_cycles: u64) -> Event {
+        Event::CollectionEnd(Box::new(CollectionEnd {
+            collection,
+            major: false,
+            depth: 2,
+            claimed_prefix: 0,
+            oracle_prefix: 0,
+            copied_bytes: 0,
+            scanned_words: 0,
+            pretenured_scanned_words: 0,
+            roots_found: 0,
+            frames_scanned: 0,
+            frames_reused: 0,
+            slots_scanned: 0,
+            barrier_entries: 0,
+            markers_placed: 0,
+            gc_cycles,
+            end_cycles,
+            live_bytes_after: 0,
+            wall_ns: 0,
+            chunks_owned: 0,
+            side_cleared_words: 0,
+            size_hist: Hist::default(),
+            depth_hist: Hist::default(),
+            workers: 1,
+            worker_copied_bytes: Vec::new(),
+        }))
+    }
+
+    /// Two collections and a census; the second end has no begin (as
+    /// after a ring overflow), so its start is `end - gc_cycles`.
+    fn sample_events(ttsp_cycles: u64) -> Vec<Event> {
+        vec![
+            begin(1, 1000, ttsp_cycles),
+            end(1, 500, 1500),
+            Event::HeapCensus(HeapCensus {
+                collection: 1,
+                pretenured_sites: 3,
+                spaces: vec![SpaceCensus {
+                    space: "nursery",
+                    used_words: 10,
+                    reserved_words: 64,
+                    chunks: 1,
+                }],
+            }),
+            end(2, 200, 4000),
+        ]
+    }
+
+    fn sample_doc(ttsp_cycles: u64) -> String {
+        jsonl::render(
+            "gen+markers",
+            "Checksum",
+            100_000,
+            &[],
+            &sample_events(ttsp_cycles),
+        )
+    }
+
+    /// Replays `doc` through the `--input` path (unvalidated: the sample
+    /// is not a bracketed stream).
+    fn replayed(doc: &str) -> Stream {
+        // Unique per process and call, so concurrent tests never share it.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "tilgc-slo-replay-{}-{call}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, doc).unwrap();
+        let stream = replay(path.to_str().unwrap(), false).unwrap();
+        let _ = std::fs::remove_file(&path);
+        stream
     }
 
     #[test]
-    fn jsonl_replay_reconstructs_pauses_and_census() {
-        let s = summary_of(&sample_doc());
-        assert_eq!(s.plan, "gen+markers");
+    fn jsonl_replay_decodes_the_recorded_stream() {
+        let s = replayed(&sample_doc(0));
+        assert_eq!(
+            (s.plan.as_str(), s.bench.as_str()),
+            ("gen+markers", "Checksum")
+        );
         assert_eq!(s.clock_hz, 100_000);
-        assert_eq!(s.metrics.pause_count(), 2);
-        assert_eq!(s.metrics.histogram().sum(), 700);
-        // The second end had no begin: its start is end - gc_cycles.
-        assert_eq!(s.metrics.horizon(), 4000);
-        let census = s.census.as_ref().expect("census captured");
-        assert_eq!(census.pretenured_sites, 3);
-        assert_eq!(census.rows[0].space, "nursery");
-        assert_eq!(census.rows[0].reserved_words, 64);
-        // 4 event lines; meta is not an event.
-        assert_eq!(s.event_count, 4);
+        assert_eq!(s.events, sample_events(0));
+        let (text, _) = render_report(&s, &SloSpec::default());
+        assert!(text.contains("pause percentiles (2 collections, 700 gc cycles total)"));
+        // The second end had no begin: its start is end - gc_cycles,
+        // and the horizon is the last event.
+        assert!(text.contains("horizon 4000 cycles"), "{text}");
+        assert!(text.contains("heap census (after collection 1, 3 pretenured site(s))"));
+        assert!(text.contains("  nursery              10              64       1"));
+        // 4 events; meta is not an event.
+        assert!(text.contains("recorder: 4 events, 0 dropped"));
     }
 
     #[test]
     fn report_flags_violations_and_passes_generous_bounds() {
-        let s = summary_of(&sample_doc());
+        let s = replayed(&sample_doc(0));
         // Generous bounds: pass.
         let ok = SloSpec {
             max_pause: vec![(990, 1_000_000)],
@@ -530,8 +423,6 @@ mod tests {
         let (text, violations) = render_report(&s, &ok);
         assert_eq!(violations, 0, "{text}");
         assert!(text.contains("slo-report: ok"));
-        assert!(text.contains("pause percentiles (2 collections, 700 gc cycles total)"));
-        assert!(text.contains("heap census (after collection 1, 3 pretenured site(s))"));
         // Impossible bounds: fail, and the verdict lines say which.
         let bad = SloSpec {
             max_pause: vec![(500, 1)],
@@ -546,7 +437,7 @@ mod tests {
 
     #[test]
     fn empty_spec_is_report_only() {
-        let s = summary_of(&sample_doc());
+        let s = replayed(&sample_doc(0));
         let (text, violations) = render_report(&s, &SloSpec::default());
         assert_eq!(violations, 0);
         assert!(text.contains("no bounds configured"));
@@ -554,26 +445,19 @@ mod tests {
 
     #[test]
     fn ttsp_section_appears_only_when_the_stream_carries_it() {
-        // The sample doc predates TTSP tracking: no section.
-        let s = summary_of(&sample_doc());
-        let (text, _) = render_report(&s, &SloSpec::default());
+        // An untracked stream: no section.
+        let (text, _) = render_report(&replayed(&sample_doc(0)), &SloSpec::default());
         assert!(
             !text.contains("time-to-safepoint"),
             "all-zero TTSP must not change the report: {text}"
         );
-        // A tracked stream carries `ttsp_cycles` on collection-begin.
-        let doc = sample_doc().replace(
-            r#""start_cycles":1000}"#,
-            r#""start_cycles":1000,"ttsp_cycles":40}"#,
-        );
-        let s = summary_of(&doc);
-        assert_eq!(s.ttsp.histogram().count(), 1);
-        assert_eq!(s.ttsp.histogram().max(), 40);
-        let (text, _) = render_report(&s, &SloSpec::default());
+        // A tracked stream carries a nonzero TTSP on collection-begin.
+        let (text, _) = render_report(&replayed(&sample_doc(40)), &SloSpec::default());
         assert!(
             text.contains("time-to-safepoint (1 collections"),
             "tracked TTSP must be surfaced: {text}"
         );
+        assert!(text.contains("     max             40"), "{text}");
     }
 
     /// The CI contract end to end: replaying a stream through `--input`
@@ -585,7 +469,7 @@ mod tests {
         // Unique to this process and test, so concurrent runs never share it.
         let path =
             std::env::temp_dir().join(format!("tilgc-slo-gate-{}.jsonl", std::process::id()));
-        std::fs::write(&path, sample_doc()).unwrap();
+        std::fs::write(&path, sample_doc(0)).unwrap();
         let request = |spec: SloSpec| SloRequest {
             input: Some(path.to_str().unwrap().to_string()),
             bench: String::new(),

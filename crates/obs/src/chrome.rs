@@ -6,13 +6,26 @@
 //! tid 0 carries one complete ("X") slice per collection spanning
 //! `start_cycles..end_cycles` on the simulated timeline, tid 1 carries
 //! the phase slices of each collection laid out consecutively inside
-//! that span. Pressure-episode steps and adaptive site flips render as
-//! instant ("i") marks on tid 0, and each heap census becomes counter
-//! ("C") samples (per-space occupancy + pretenured-site count) Perfetto
-//! draws as time-series tracks. Timestamps are microseconds of
-//! *simulated* time: cycles divided by the cost model's clock rate.
+//! that span. Pressure-episode steps, adaptive site flips and
+//! degradation episodes render as instant ("i") marks on tid 0, named
+//! by their event kind, and each heap census becomes counter ("C")
+//! samples (per-space occupancy + pretenured-site count) Perfetto draws
+//! as time-series tracks. Timestamps are microseconds of *simulated*
+//! time: cycles divided by the cost model's clock rate.
+//!
+//! Every slice and instant carries the wire fields of the event it
+//! renders as its args (a collection slice: its begin's fields, then its
+//! end's), written from the field tables in [`crate::table`].
 
+use crate::table::{write_fields, Field, Record, Wire};
 use crate::{Event, GcPhase};
+
+/// One record's field table and values: a slice or instant's args.
+type Args<'a> = (&'static [Field], Vec<&'a dyn Wire>);
+
+fn args<R: Record>(record: &R) -> Args<'_> {
+    (R::FIELDS, record.values())
+}
 
 /// Microseconds (as f64) for `cycles` at `clock_hz`.
 fn us(cycles: u64, clock_hz: u64) -> f64 {
@@ -23,6 +36,23 @@ fn push_f64(out: &mut String, v: f64) {
     // Trace viewers accept fractional µs; keep three decimals (≈ ns
     // resolution at the default 150 MHz clock).
     out.push_str(&format!("{v:.3}"));
+}
+
+/// Writes `,"args":{...}` from the records' wire fields; a key already
+/// written by an earlier record is skipped.
+fn push_args(out: &mut String, records: &[Args]) {
+    let mut seen: Vec<&str> = Vec::new();
+    let fields = records
+        .iter()
+        .flat_map(|(fields, values)| fields.iter().zip(values.iter().copied()))
+        .filter(|(f, _)| {
+            let fresh = !seen.contains(&f.key);
+            seen.push(f.key);
+            fresh
+        });
+    out.push_str(",\"args\":{");
+    write_fields(out, fields, false);
+    out.push('}');
 }
 
 struct TraceWriter {
@@ -58,50 +88,23 @@ impl TraceWriter {
         ));
     }
 
-    fn complete(&mut self, tid: u64, name: &str, ts_us: f64, dur_us: f64, args: &[(&str, String)]) {
-        let mut e = String::from("{\"ph\":\"X\",\"pid\":0,\"tid\":");
-        e.push_str(&tid.to_string());
-        e.push_str(",\"name\":");
+    /// A complete ("X") slice when `dur_us` is given, else an instant
+    /// ("i") mark; either way its args are the records' wire fields.
+    fn slice(&mut self, tid: u64, name: &str, ts_us: f64, dur_us: Option<f64>, records: &[Args]) {
+        let ph = if dur_us.is_some() { "X" } else { "i" };
+        let mut e = format!("{{\"ph\":\"{ph}\",\"pid\":0,\"tid\":{tid},\"name\":");
         crate::json::escape_into(&mut e, name);
-        e.push_str(",\"cat\":\"gc\",\"ts\":");
-        push_f64(&mut e, ts_us);
-        e.push_str(",\"dur\":");
-        push_f64(&mut e, dur_us.max(0.001));
-        if !args.is_empty() {
-            e.push_str(",\"args\":{");
-            for (i, (k, v)) in args.iter().enumerate() {
-                if i > 0 {
-                    e.push(',');
-                }
-                crate::json::escape_into(&mut e, k);
-                e.push(':');
-                e.push_str(v);
-            }
-            e.push('}');
+        e.push_str(",\"cat\":\"gc\",");
+        if dur_us.is_none() {
+            e.push_str("\"s\":\"t\",");
         }
-        e.push('}');
-        self.raw(&e);
-    }
-
-    fn instant(&mut self, tid: u64, name: &str, ts_us: f64, args: &[(&str, String)]) {
-        let mut e = String::from("{\"ph\":\"i\",\"pid\":0,\"tid\":");
-        e.push_str(&tid.to_string());
-        e.push_str(",\"name\":");
-        crate::json::escape_into(&mut e, name);
-        e.push_str(",\"cat\":\"gc\",\"s\":\"t\",\"ts\":");
+        e.push_str("\"ts\":");
         push_f64(&mut e, ts_us);
-        if !args.is_empty() {
-            e.push_str(",\"args\":{");
-            for (i, (k, v)) in args.iter().enumerate() {
-                if i > 0 {
-                    e.push(',');
-                }
-                crate::json::escape_into(&mut e, k);
-                e.push(':');
-                e.push_str(v);
-            }
-            e.push('}');
+        if let Some(dur) = dur_us {
+            e.push_str(",\"dur\":");
+            push_f64(&mut e, dur.max(0.001));
         }
+        push_args(&mut e, records);
         e.push('}');
         self.raw(&e);
     }
@@ -142,22 +145,23 @@ pub fn render(plan: &str, bench: &str, clock_hz: u64, events: &[Event]) -> Strin
     w.metadata("thread_name", Some(1), "gc phases");
 
     // Index begins by collection number so ends can find their span.
-    let mut begins: Vec<(u64, &crate::CollectionBegin)> = Vec::new();
+    let mut begins: Vec<&crate::CollectionBegin> = Vec::new();
     let mut phases: Vec<&crate::PhaseSpan> = Vec::new();
     // Timeline cursor for events that carry no absolute position of
     // their own (pressure rungs advance it by their cycle charge; site
-    // flips and censuses happen at the collection end it points at).
+    // flips, degradation episodes and censuses happen at the collection
+    // end it points at).
     let mut now = 0u64;
     for e in events {
         match e {
             Event::CollectionBegin(b) => {
                 now = now.max(b.start_cycles);
-                begins.push((b.collection, b));
+                begins.push(b);
             }
             Event::Phase(p) => phases.push(p),
             Event::CollectionEnd(end) => {
                 now = now.max(end.end_cycles);
-                let Some(&(_, begin)) = begins.iter().find(|(c, _)| *c == end.collection) else {
+                let Some(&begin) = begins.iter().find(|b| b.collection == end.collection) else {
                     continue;
                 };
                 let ts = us(begin.start_cycles, clock_hz);
@@ -167,19 +171,7 @@ pub fn render(plan: &str, bench: &str, clock_hz: u64, events: &[Event]) -> Strin
                     end.collection,
                     if end.major { "major" } else { "minor" }
                 );
-                w.complete(
-                    0,
-                    &name,
-                    ts,
-                    dur,
-                    &[
-                        ("reason", format!("\"{}\"", begin.reason)),
-                        ("copied_bytes", end.copied_bytes.to_string()),
-                        ("roots_found", end.roots_found.to_string()),
-                        ("frames_reused", end.frames_reused.to_string()),
-                        ("live_bytes_after", end.live_bytes_after.to_string()),
-                    ],
-                );
+                w.slice(0, &name, ts, Some(dur), &[args(begin), args(&**end)]);
                 // Phases of this collection, consecutively from the
                 // span start, in canonical order.
                 let mut cursor = begin.start_cycles;
@@ -188,18 +180,18 @@ pub fn render(plan: &str, bench: &str, clock_hz: u64, events: &[Event]) -> Strin
                         if p.phase != phase {
                             continue;
                         }
-                        w.complete(
+                        w.slice(
                             1,
                             p.phase.wire_name(),
                             us(cursor, clock_hz),
-                            us(p.cycles, clock_hz),
-                            &[("wall_ns", p.wall_ns.to_string())],
+                            Some(us(p.cycles, clock_hz)),
+                            &[args(*p)],
                         );
                         cursor += p.cycles;
                     }
                 }
                 phases.retain(|p| p.collection != end.collection);
-                begins.retain(|(c, _)| *c != end.collection);
+                begins.retain(|b| b.collection != end.collection);
             }
             Event::SiteSample(_) => {}
             // Pressure episodes render as instant marks: the begin at its
@@ -208,91 +200,23 @@ pub fn render(plan: &str, bench: &str, clock_hz: u64, events: &[Event]) -> Strin
             // between them as ordinary slices).
             Event::PressureBegin(p) => {
                 now = now.max(p.start_cycles);
-                w.instant(
-                    0,
-                    "pressure-begin",
-                    us(now, clock_hz),
-                    &[
-                        ("site", p.site.to_string()),
-                        ("words", p.words.to_string()),
-                        ("space", format!("\"{}\"", p.space)),
-                    ],
-                );
+                w.slice(0, e.wire_name(), us(now, clock_hz), None, &[e.fields()]);
             }
             Event::PressureRung(r) => {
                 now += r.cycles;
-                w.instant(
-                    0,
-                    &format!("pressure-rung {}", r.rung),
-                    us(now, clock_hz),
-                    &[
-                        ("site", r.site.to_string()),
-                        ("outcome", format!("\"{}\"", r.outcome)),
-                        ("cycles", r.cycles.to_string()),
-                    ],
-                );
+                let name = format!("{} {}", e.wire_name(), r.rung);
+                w.slice(0, &name, us(now, clock_hz), None, &[e.fields()]);
             }
-            Event::PressureEnd(p) => {
-                w.instant(
-                    0,
-                    "pressure-end",
-                    us(now, clock_hz),
-                    &[
-                        ("outcome", format!("\"{}\"", p.outcome)),
-                        ("rungs", p.rungs.to_string()),
-                    ],
-                );
-            }
-            // Adaptive site flips are instant marks at the collection end
-            // whose evidence triggered them.
-            Event::SitePromote(s) => {
-                w.instant(
-                    0,
-                    "site-promote",
-                    us(now, clock_hz),
-                    &[
-                        ("site", s.site.to_string()),
-                        ("survival_permille", s.survival_permille.to_string()),
-                    ],
-                );
-            }
-            Event::SiteDemote(s) => {
-                w.instant(
-                    0,
-                    "site-demote",
-                    us(now, clock_hz),
-                    &[
-                        ("site", s.site.to_string()),
-                        ("survival_permille", s.survival_permille.to_string()),
-                        ("reason", format!("\"{}\"", s.reason)),
-                    ],
-                );
-            }
-            // Degradation episodes render as instant marks at the
-            // affected collection's end (the cursor already points
-            // there — the plans emit them right after collection-end).
-            Event::DegradationBegin(d) => {
-                w.instant(
-                    0,
-                    "degradation-begin",
-                    us(now, clock_hz),
-                    &[
-                        ("trigger", format!("\"{}\"", d.trigger)),
-                        ("workers", d.workers.to_string()),
-                        ("workers_lost", d.workers_lost.to_string()),
-                    ],
-                );
-            }
-            Event::DegradationEnd(d) => {
-                w.instant(
-                    0,
-                    "degradation-end",
-                    us(now, clock_hz),
-                    &[
-                        ("leftover_packets", d.leftover_packets.to_string()),
-                        ("outcome", format!("\"{}\"", d.outcome)),
-                    ],
-                );
+            // The rest are instant marks at the cursor: adaptive site
+            // flips at the collection end whose evidence triggered them,
+            // degradation episodes at the affected collection's end (the
+            // plans emit them right after collection-end).
+            Event::PressureEnd(_)
+            | Event::SitePromote(_)
+            | Event::SiteDemote(_)
+            | Event::DegradationBegin(_)
+            | Event::DegradationEnd(_) => {
+                w.slice(0, e.wire_name(), us(now, clock_hz), None, &[e.fields()]);
             }
             // Each census becomes counter samples Perfetto draws as
             // per-space occupancy tracks plus a pretenured-site count.

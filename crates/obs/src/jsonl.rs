@@ -1,128 +1,47 @@
-//! The JSONL sink: one hand-rolled JSON object per line, one line per
-//! event, preceded by a `meta` line that resolves plan, benchmark, clock
-//! rate, and allocation-site names.
+//! The JSONL sink: one JSON object per line, one line per event,
+//! preceded by a `meta` line that resolves plan, benchmark, clock rate,
+//! and allocation-site names — and its inverse, the decoder.
 //!
-//! The full line schema is documented in DESIGN.md ("Telemetry") and
-//! machine-checked by [`crate::schema::validate_line`].
+//! Both directions are driven by the field tables in [`crate::table`];
+//! the stream-level rules are machine-checked by
+//! [`crate::schema::validate_jsonl`].
 
-use crate::json::escape_into;
-use crate::{
-    CollectionBegin, CollectionEnd, DegradationBegin, DegradationEnd, Event, HeapCensus, Hist,
-    PhaseSpan, PressureBegin, PressureEnd, PressureRung, SiteDemote, SitePromote, SiteSample,
-};
+use crate::json::{escape_into, parse, Value};
+use crate::table::{decode_record, write_fields, Field, Record, Wire};
+use crate::{Event, Meta, SiteName};
 
-/// Builds JSONL object lines field by field.
-struct Obj {
-    out: String,
-}
-
-impl Obj {
-    fn new(kind: &str) -> Obj {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"type\":");
-        escape_into(&mut out, kind);
-        Obj { out }
-    }
-
-    fn num(mut self, key: &str, value: u64) -> Obj {
-        self.out.push(',');
-        escape_into(&mut self.out, key);
-        self.out.push(':');
-        self.out.push_str(&value.to_string());
-        self
-    }
-
-    fn str(mut self, key: &str, value: &str) -> Obj {
-        self.out.push(',');
-        escape_into(&mut self.out, key);
-        self.out.push(':');
-        escape_into(&mut self.out, value);
-        self
-    }
-
-    fn bool(mut self, key: &str, value: bool) -> Obj {
-        self.out.push(',');
-        escape_into(&mut self.out, key);
-        self.out.push(':');
-        self.out.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    fn nums(mut self, key: &str, values: &[u64]) -> Obj {
-        self.out.push(',');
-        escape_into(&mut self.out, key);
-        self.out.push_str(":[");
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            self.out.push_str(&v.to_string());
-        }
-        self.out.push(']');
-        self
-    }
-
-    fn hist(mut self, key: &str, hist: &Hist) -> Obj {
-        self.out.push(',');
-        escape_into(&mut self.out, key);
-        self.out.push_str(":[");
-        for (i, b) in hist.buckets.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            self.out.push_str(&b.to_string());
-        }
-        self.out.push(']');
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
-    }
+/// Renders one record as a line: `{"type":<wire>,<fields>}`.
+fn record_line(wire: &str, fields: &[Field], values: &[&dyn Wire]) -> String {
+    let mut out = String::with_capacity(256);
+    out.push_str("{\"type\":");
+    escape_into(&mut out, wire);
+    write_fields(&mut out, fields.iter().zip(values.iter().copied()), true);
+    out.push('}');
+    out
 }
 
 /// Renders the leading `meta` line: run identity plus the site-id → name
 /// table needed to interpret `site-sample` lines.
 pub fn meta_line(plan: &str, bench: &str, clock_hz: u64, sites: &[(u16, String)]) -> String {
-    let mut out = String::with_capacity(128 + 24 * sites.len());
-    out.push_str("{\"type\":\"meta\",\"plan\":");
-    escape_into(&mut out, plan);
-    out.push_str(",\"bench\":");
-    escape_into(&mut out, bench);
-    out.push_str(",\"clock_hz\":");
-    out.push_str(&clock_hz.to_string());
-    out.push_str(",\"sites\":[");
-    for (i, (id, name)) in sites.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"id\":");
-        out.push_str(&id.to_string());
-        out.push_str(",\"name\":");
-        escape_into(&mut out, name);
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    let meta = Meta {
+        plan: plan.to_string(),
+        bench: bench.to_string(),
+        clock_hz,
+        sites: sites
+            .iter()
+            .map(|(id, name)| SiteName {
+                id: *id,
+                name: name.clone(),
+            })
+            .collect(),
+    };
+    record_line(Meta::WIRE, Meta::FIELDS, &meta.values())
 }
 
 /// Renders one event as a JSONL line (no trailing newline).
 pub fn event_line(event: &Event) -> String {
-    match event {
-        Event::CollectionBegin(e) => begin_line(e),
-        Event::Phase(e) => phase_line(e),
-        Event::CollectionEnd(e) => end_line(e),
-        Event::SiteSample(e) => site_line(e),
-        Event::PressureBegin(e) => pressure_begin_line(e),
-        Event::PressureRung(e) => pressure_rung_line(e),
-        Event::PressureEnd(e) => pressure_end_line(e),
-        Event::SitePromote(e) => site_promote_line(e),
-        Event::SiteDemote(e) => site_demote_line(e),
-        Event::HeapCensus(e) => census_line(e),
-        Event::DegradationBegin(e) => degradation_begin_line(e),
-        Event::DegradationEnd(e) => degradation_end_line(e),
-    }
+    let (fields, values) = event.fields();
+    record_line(event.wire_name(), fields, &values)
 }
 
 /// Renders a whole event stream, meta line first, newline-terminated.
@@ -142,182 +61,96 @@ pub fn render(
     out
 }
 
-fn begin_line(e: &CollectionBegin) -> String {
-    // `ttsp_cycles` appears only when TTSP tracking observed a nonzero
-    // distance, so untracked traces stay byte-identical to older output.
-    let mut obj = Obj::new("collection-begin")
-        .num("collection", e.collection)
-        .str("plan", e.plan)
-        .str("reason", e.reason)
-        .bool("major", e.major)
-        .num("depth", e.depth)
-        .num("start_cycles", e.start_cycles);
-    if e.ttsp_cycles > 0 {
-        obj = obj.num("ttsp_cycles", e.ttsp_cycles);
-    }
-    obj.finish()
+/// One decoded JSONL line.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Line {
+    /// The stream's leading `meta` line.
+    Meta(Meta),
+    /// An event line.
+    Event(Event),
 }
 
-fn phase_line(e: &PhaseSpan) -> String {
-    Obj::new("phase")
-        .num("collection", e.collection)
-        .str("phase", e.phase.wire_name())
-        .num("cycles", e.cycles)
-        .num("wall_ns", e.wall_ns)
-        .finish()
+/// Decodes one JSONL line: parses it once and reads every field of its
+/// kind's table, rejecting unknown kinds, unknown or missing fields,
+/// wrong types, values outside a closed set, and broken omission rules.
+/// Cross-field rules are [`crate::schema::check`]'s.
+pub fn decode_line(line: &str) -> Result<Line, String> {
+    let v = parse(line)?;
+    let kind = v
+        .get("type")
+        .and_then(Value::as_str)
+        .ok_or("missing string field \"type\"")?;
+    let line = if kind == Meta::WIRE {
+        decode_record(&v).map(Line::Meta)
+    } else {
+        Event::decode(kind, &v)
+            .ok_or_else(|| format!("unknown event type {kind:?}"))?
+            .map(Line::Event)
+    };
+    line.map_err(|e| format!("{kind}: {e}"))
 }
 
-fn end_line(e: &CollectionEnd) -> String {
-    // Worker fields appear only on parallel collections, so a serial
-    // (workers = 1) trace stays byte-identical to pre-scheduler output.
-    let mut obj = Obj::new("collection-end")
-        .num("collection", e.collection)
-        .bool("major", e.major)
-        .num("depth", e.depth)
-        .num("claimed_prefix", e.claimed_prefix)
-        .num("oracle_prefix", e.oracle_prefix)
-        .num("copied_bytes", e.copied_bytes)
-        .num("scanned_words", e.scanned_words)
-        .num("pretenured_scanned_words", e.pretenured_scanned_words)
-        .num("roots_found", e.roots_found)
-        .num("frames_scanned", e.frames_scanned)
-        .num("frames_reused", e.frames_reused)
-        .num("slots_scanned", e.slots_scanned)
-        .num("barrier_entries", e.barrier_entries)
-        .num("markers_placed", e.markers_placed)
-        .num("gc_cycles", e.gc_cycles)
-        .num("end_cycles", e.end_cycles)
-        .num("live_bytes_after", e.live_bytes_after)
-        .num("wall_ns", e.wall_ns)
-        .num("chunks_owned", e.chunks_owned)
-        .num("side_cleared_words", e.side_cleared_words)
-        .hist("size_hist", &e.size_hist)
-        .hist("depth_hist", &e.depth_hist);
-    if e.workers > 1 {
-        obj = obj
-            .num("workers", e.workers)
-            .nums("worker_copied_bytes", &e.worker_copied_bytes);
-    }
-    obj.finish()
-}
-
-fn pressure_begin_line(e: &PressureBegin) -> String {
-    Obj::new("pressure-begin")
-        .num("site", e.site as u64)
-        .num("words", e.words)
-        .str("space", e.space)
-        .num("start_cycles", e.start_cycles)
-        .finish()
-}
-
-fn pressure_rung_line(e: &PressureRung) -> String {
-    Obj::new("pressure-rung")
-        .str("rung", e.rung)
-        .num("site", e.site as u64)
-        .num("words", e.words)
-        .str("outcome", e.outcome)
-        .num("cycles", e.cycles)
-        .finish()
-}
-
-fn pressure_end_line(e: &PressureEnd) -> String {
-    Obj::new("pressure-end")
-        .str("outcome", e.outcome)
-        .num("rungs", e.rungs)
-        .num("cycles", e.cycles)
-        .finish()
-}
-
-fn site_promote_line(e: &SitePromote) -> String {
-    Obj::new("site-promote")
-        .num("collection", e.collection)
-        .num("site", e.site as u64)
-        .num("survival_permille", e.survival_permille)
-        .finish()
-}
-
-fn site_demote_line(e: &SiteDemote) -> String {
-    Obj::new("site-demote")
-        .num("collection", e.collection)
-        .num("site", e.site as u64)
-        .num("survival_permille", e.survival_permille)
-        .str("reason", e.reason)
-        .finish()
-}
-
-fn census_line(e: &HeapCensus) -> String {
-    // The spaces array is an object array like meta's sites, so it is
-    // hand-built rather than going through Obj.
-    let mut out = String::with_capacity(128 + 64 * e.spaces.len());
-    out.push_str("{\"type\":\"heap-census\",\"collection\":");
-    out.push_str(&e.collection.to_string());
-    out.push_str(",\"pretenured_sites\":");
-    out.push_str(&e.pretenured_sites.to_string());
-    out.push_str(",\"spaces\":[");
-    for (i, s) in e.spaces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Decodes every non-empty line of `doc` and hands it to `each`. The
+/// `meta` line must be the first non-empty line and must appear exactly
+/// once. Errors, from decoding or from `each`, carry the line number.
+pub(crate) fn for_each_line(
+    doc: &str,
+    mut each: impl FnMut(Line) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut seen_meta = false;
+    for (i, text) in doc.lines().enumerate() {
+        if text.is_empty() {
+            continue;
         }
-        out.push_str("{\"space\":");
-        escape_into(&mut out, s.space);
-        out.push_str(",\"used_words\":");
-        out.push_str(&s.used_words.to_string());
-        out.push_str(",\"reserved_words\":");
-        out.push_str(&s.reserved_words.to_string());
-        out.push_str(",\"chunks\":");
-        out.push_str(&s.chunks.to_string());
-        out.push('}');
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        let line = decode_line(text).map_err(at)?;
+        match (&line, seen_meta) {
+            (Line::Meta(_), true) => return Err(at("second meta line".to_string())),
+            (Line::Event(_), false) => return Err(at("expected meta line".to_string())),
+            _ => seen_meta = true,
+        }
+        each(line).map_err(at)?;
     }
-    out.push_str("]}");
-    out
+    Ok(())
 }
 
-fn degradation_begin_line(e: &DegradationBegin) -> String {
-    Obj::new("degradation-begin")
-        .num("collection", e.collection)
-        .str("trigger", e.trigger)
-        .num("workers", e.workers)
-        .num("workers_lost", e.workers_lost)
-        .finish()
-}
-
-fn degradation_end_line(e: &DegradationEnd) -> String {
-    Obj::new("degradation-end")
-        .num("collection", e.collection)
-        .num("leftover_packets", e.leftover_packets)
-        .str("outcome", e.outcome)
-        .finish()
-}
-
-fn site_line(e: &SiteSample) -> String {
-    Obj::new("site-sample")
-        .num("collection", e.collection)
-        .num("site", e.site as u64)
-        .num("allocs", e.allocs)
-        .num("alloc_bytes", e.alloc_bytes)
-        .num("copied_objects", e.copied_objects)
-        .num("copied_bytes", e.copied_bytes)
-        .num("survived", e.survived)
-        .finish()
+/// Decodes a whole JSONL document into its meta line and its events.
+pub fn decode_jsonl(doc: &str) -> Result<(Meta, Vec<Event>), String> {
+    let mut meta = None;
+    let mut events = Vec::new();
+    for_each_line(doc, |line| {
+        match line {
+            Line::Meta(m) => meta = Some(m),
+            Line::Event(e) => events.push(e),
+        }
+        Ok(())
+    })?;
+    Ok((meta.ok_or("empty document")?, events))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
-    use crate::GcPhase;
+    use crate::{
+        CollectionBegin, CollectionEnd, DegradationBegin, DegradationEnd, GcPhase, HeapCensus,
+        Hist, PhaseSpan, PressureBegin, PressureEnd, PressureRung, SiteDemote, SitePromote,
+        SiteSample, SpaceCensus,
+    };
 
-    #[test]
-    fn lines_are_valid_json_with_expected_fields() {
-        let events = [
+    /// One event of every kind. `optional` fills the omittable fields:
+    /// a nonzero `ttsp_cycles` and a parallel worker group.
+    pub(crate) fn every_kind(optional: bool) -> Vec<Event> {
+        let mut size_hist = Hist::default();
+        size_hist.add(16);
+        vec![
             Event::CollectionBegin(CollectionBegin {
                 collection: 1,
-                plan: "gen+markers",
+                plan: "generational",
                 reason: "alloc-failure",
                 major: false,
                 depth: 9,
                 start_cycles: 1234,
-                ttsp_cycles: 0,
+                ttsp_cycles: if optional { 42 } else { 0 },
             }),
             Event::Phase(PhaseSpan {
                 collection: 1,
@@ -325,6 +158,32 @@ mod tests {
                 cycles: 77,
                 wall_ns: 880,
             }),
+            Event::CollectionEnd(Box::new(CollectionEnd {
+                collection: 1,
+                major: false,
+                depth: 9,
+                claimed_prefix: 1,
+                oracle_prefix: 2,
+                copied_bytes: 64,
+                scanned_words: 8,
+                pretenured_scanned_words: 0,
+                roots_found: 5,
+                frames_scanned: 3,
+                frames_reused: 0,
+                slots_scanned: 12,
+                barrier_entries: 0,
+                markers_placed: 1,
+                gc_cycles: 77,
+                end_cycles: 1311,
+                live_bytes_after: 64,
+                wall_ns: 100,
+                chunks_owned: 4,
+                side_cleared_words: 32,
+                size_hist,
+                depth_hist: Hist::default(),
+                workers: if optional { 2 } else { 1 },
+                worker_copied_bytes: if optional { vec![48, 16] } else { Vec::new() },
+            })),
             Event::SiteSample(SiteSample {
                 collection: 1,
                 site: 4,
@@ -334,180 +193,138 @@ mod tests {
                 copied_bytes: 32,
                 survived: 2,
             }),
-        ];
-        for e in &events {
-            let v = parse(&event_line(e)).expect("line parses");
-            assert!(v.get("type").is_some());
-            assert_eq!(v.get("collection").unwrap().as_u64(), Some(1));
+            Event::PressureBegin(PressureBegin {
+                site: 3,
+                words: 64,
+                space: "nursery",
+                start_cycles: 2000,
+            }),
+            Event::PressureRung(PressureRung {
+                rung: "retry-minor",
+                site: 3,
+                words: 64,
+                outcome: "recovered",
+                cycles: 500,
+            }),
+            Event::PressureEnd(PressureEnd {
+                outcome: "recovered",
+                rungs: 1,
+                cycles: 500,
+            }),
+            Event::SitePromote(SitePromote {
+                collection: 12,
+                site: 7,
+                survival_permille: 912,
+            }),
+            Event::SiteDemote(SiteDemote {
+                collection: 19,
+                site: 7,
+                survival_permille: 120,
+                reason: "adaptive",
+            }),
+            Event::HeapCensus(HeapCensus {
+                collection: 4,
+                pretenured_sites: 2,
+                spaces: vec![
+                    SpaceCensus {
+                        space: "nursery",
+                        used_words: 0,
+                        reserved_words: 1024,
+                        chunks: 2,
+                    },
+                    SpaceCensus {
+                        space: "tenured",
+                        used_words: 500,
+                        reserved_words: 4096,
+                        chunks: 8,
+                    },
+                ],
+            }),
+            Event::DegradationBegin(DegradationBegin {
+                collection: 7,
+                trigger: "panic",
+                workers: 4,
+                workers_lost: 1,
+            }),
+            Event::DegradationEnd(DegradationEnd {
+                collection: 7,
+                leftover_packets: 3,
+                outcome: "drained",
+            }),
+        ]
+    }
+
+    #[test]
+    fn every_kind_round_trips_with_optional_fields_present_and_absent() {
+        for optional in [false, true] {
+            let events = every_kind(optional);
+            let mut kinds: Vec<&str> = events.iter().map(Event::wire_name).collect();
+            kinds.dedup();
+            assert_eq!(kinds.len(), 12, "one event of every kind");
+            let mut text = String::new();
+            for e in &events {
+                let line = event_line(e);
+                assert_eq!(
+                    decode_line(&line),
+                    Ok(Line::Event(e.clone())),
+                    "{line} decodes back"
+                );
+                text.push_str(&line);
+            }
+            for key in [
+                "\"ttsp_cycles\"",
+                "\"workers\":2",
+                "\"worker_copied_bytes\"",
+            ] {
+                assert_eq!(text.contains(key), optional, "{key} present iff set");
+            }
         }
-        let v = parse(&event_line(&events[1])).unwrap();
-        assert_eq!(v.get("phase").unwrap().as_str(), Some("stack-decode"));
-        assert_eq!(v.get("cycles").unwrap().as_u64(), Some(77));
     }
 
     #[test]
-    fn site_flip_lines_round_trip() {
-        let promote = Event::SitePromote(SitePromote {
-            collection: 12,
-            site: 7,
-            survival_permille: 912,
-        });
-        let v = parse(&event_line(&promote)).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("site-promote"));
-        assert_eq!(v.get("site").unwrap().as_u64(), Some(7));
-        assert_eq!(v.get("survival_permille").unwrap().as_u64(), Some(912));
-
-        let demote = Event::SiteDemote(SiteDemote {
-            collection: 19,
-            site: 7,
-            survival_permille: 120,
-            reason: "adaptive",
-        });
-        let v = parse(&event_line(&demote)).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("site-demote"));
-        assert_eq!(v.get("reason").unwrap().as_str(), Some("adaptive"));
-        assert_eq!(v.get("collection").unwrap().as_u64(), Some(19));
-    }
-
-    #[test]
-    fn begin_line_gates_ttsp_on_nonzero() {
-        let mut e = CollectionBegin {
-            collection: 3,
-            plan: "semispace",
-            reason: "alloc-failure",
-            major: true,
-            depth: 2,
-            start_cycles: 500,
-            ttsp_cycles: 0,
-        };
-        let v = parse(&begin_line(&e)).unwrap();
-        assert!(
-            v.get("ttsp_cycles").is_none(),
-            "untracked begin line carries no ttsp field"
+    fn lines_keep_their_wire_layout() {
+        let events = every_kind(true);
+        assert_eq!(
+            event_line(&events[0]),
+            "{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"generational\",\
+             \"reason\":\"alloc-failure\",\"major\":false,\"depth\":9,\"start_cycles\":1234,\
+             \"ttsp_cycles\":42}"
         );
-        e.ttsp_cycles = 42;
-        let v = parse(&begin_line(&e)).unwrap();
-        assert_eq!(v.get("ttsp_cycles").unwrap().as_u64(), Some(42));
-    }
-
-    #[test]
-    fn degradation_lines_round_trip() {
-        let begin = Event::DegradationBegin(DegradationBegin {
-            collection: 7,
-            trigger: "panic",
-            workers: 4,
-            workers_lost: 1,
-        });
-        let v = parse(&event_line(&begin)).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("degradation-begin"));
-        assert_eq!(v.get("trigger").unwrap().as_str(), Some("panic"));
-        assert_eq!(v.get("workers").unwrap().as_u64(), Some(4));
-        assert_eq!(v.get("workers_lost").unwrap().as_u64(), Some(1));
-
-        let end = Event::DegradationEnd(DegradationEnd {
-            collection: 7,
-            leftover_packets: 3,
-            outcome: "drained",
-        });
-        let v = parse(&event_line(&end)).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("degradation-end"));
-        assert_eq!(v.get("leftover_packets").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("outcome").unwrap().as_str(), Some("drained"));
+        assert!(event_line(&events[2]).ends_with(
+            "\"depth_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"workers\":2,\
+             \"worker_copied_bytes\":[48,16]}"
+        ));
+        assert_eq!(
+            event_line(&events[9]),
+            "{\"type\":\"heap-census\",\"collection\":4,\"pretenured_sites\":2,\"spaces\":[\
+             {\"space\":\"nursery\",\"used_words\":0,\"reserved_words\":1024,\"chunks\":2},\
+             {\"space\":\"tenured\",\"used_words\":500,\"reserved_words\":4096,\"chunks\":8}]}"
+        );
     }
 
     #[test]
     fn meta_line_resolves_sites() {
-        let line = meta_line(
-            "semispace",
-            "Life",
-            150_000_000,
-            &[(0, "unknown".to_string()), (3, "rec\"3".to_string())],
+        let sites = [(0, "unknown".to_string()), (3, "rec\"3".to_string())];
+        let line = meta_line("gen+markers", "Life", 150_000_000, &sites);
+        assert_eq!(
+            line,
+            "{\"type\":\"meta\",\"plan\":\"gen+markers\",\"bench\":\"Life\",\
+             \"clock_hz\":150000000,\"sites\":[{\"id\":0,\"name\":\"unknown\"},\
+             {\"id\":3,\"name\":\"rec\\\"3\"}]}"
         );
-        let v = parse(&line).expect("meta parses");
-        assert_eq!(v.get("type").unwrap().as_str(), Some("meta"));
-        assert_eq!(v.get("clock_hz").unwrap().as_u64(), Some(150_000_000));
-        let sites = v.get("sites").unwrap().as_array().unwrap();
-        assert_eq!(sites.len(), 2);
-        assert_eq!(sites[1].get("name").unwrap().as_str(), Some("rec\"3"));
-    }
-
-    #[test]
-    fn census_line_round_trips() {
-        let e = Event::HeapCensus(HeapCensus {
-            collection: 4,
-            pretenured_sites: 2,
-            spaces: vec![
-                crate::SpaceCensus {
-                    space: "nursery",
-                    used_words: 0,
-                    reserved_words: 1024,
-                    chunks: 2,
-                },
-                crate::SpaceCensus {
-                    space: "tenured",
-                    used_words: 500,
-                    reserved_words: 4096,
-                    chunks: 8,
-                },
-            ],
-        });
-        let v = parse(&event_line(&e)).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("heap-census"));
-        assert_eq!(v.get("collection").unwrap().as_u64(), Some(4));
-        assert_eq!(v.get("pretenured_sites").unwrap().as_u64(), Some(2));
-        let spaces = v.get("spaces").unwrap().as_array().unwrap();
-        assert_eq!(spaces.len(), 2);
-        assert_eq!(spaces[0].get("space").unwrap().as_str(), Some("nursery"));
-        assert_eq!(spaces[1].get("used_words").unwrap().as_u64(), Some(500));
-        assert_eq!(spaces[1].get("chunks").unwrap().as_u64(), Some(8));
-    }
-
-    #[test]
-    fn end_line_carries_histograms() {
-        let mut size_hist = Hist::default();
-        size_hist.add(16);
-        let e = CollectionEnd {
-            collection: 2,
-            major: true,
-            depth: 3,
-            claimed_prefix: 1,
-            oracle_prefix: 2,
-            copied_bytes: 64,
-            scanned_words: 8,
-            pretenured_scanned_words: 0,
-            roots_found: 5,
-            frames_scanned: 3,
-            frames_reused: 0,
-            slots_scanned: 12,
-            barrier_entries: 0,
-            markers_placed: 1,
-            gc_cycles: 999,
-            end_cycles: 5000,
-            live_bytes_after: 64,
-            wall_ns: 100,
-            chunks_owned: 4,
-            side_cleared_words: 32,
-            size_hist,
-            depth_hist: Hist::default(),
-            workers: 1,
-            worker_copied_bytes: Vec::new(),
+        let Ok(Line::Meta(meta)) = decode_line(&line) else {
+            panic!("meta decodes")
         };
-        let v = parse(&end_line(&e)).unwrap();
-        let hist = v.get("size_hist").unwrap().as_array().unwrap();
-        assert_eq!(hist.len(), crate::HIST_BUCKETS);
-        assert_eq!(hist[5].as_u64(), Some(1), "16 lands in [16,32)");
-        assert!(
-            v.get("workers").is_none(),
-            "serial end line carries no worker fields"
-        );
+        assert_eq!(meta.plan, "gen+markers");
+        assert_eq!(meta.sites[1].name, "rec\"3");
+    }
 
-        let mut par = e.clone();
-        par.workers = 2;
-        par.worker_copied_bytes = vec![48, 16];
-        let v = parse(&end_line(&par)).unwrap();
-        assert_eq!(v.get("workers").unwrap().as_u64(), Some(2));
-        let per = v.get("worker_copied_bytes").unwrap().as_array().unwrap();
-        assert_eq!(per.len(), 2);
-        assert_eq!(per[0].as_u64(), Some(48));
+    #[test]
+    fn documents_decode_to_meta_and_events() {
+        let events = every_kind(false);
+        let doc = render("semispace", "Life", 1, &[], &events);
+        let (meta, decoded) = decode_jsonl(&doc).unwrap();
+        assert_eq!((meta.bench.as_str(), meta.clock_hz), ("Life", 1));
+        assert_eq!(decoded, events);
     }
 }

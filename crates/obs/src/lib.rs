@@ -16,10 +16,10 @@
 //!   it, and never touch `GcStats`, preserving byte-identity of every
 //!   deterministic counter;
 //! * a bounded [`RingRecorder`] sink (drop-oldest);
-//! * serde-free writers: [`jsonl`] (one event per line) and [`chrome`]
-//!   (Chrome trace-event format — a run opens directly in Perfetto);
-//! * a [`schema`] validator (with its own minimal [`json`] parser) that
-//!   checks every emitted JSONL line against the documented schema.
+//! * one field table per record ([`table`]) that drives the serde-free
+//!   writers — [`jsonl`] (one event per line, plus its decoder) and
+//!   [`chrome`] (Chrome trace-event format, opens directly in Perfetto)
+//!   — and the [`schema`] validator, over a minimal [`json`] parser.
 //!
 //! This crate sits *below* `tilgc-runtime` in the dependency order
 //! (`mem ← obs ← runtime ← core`) so the collectors can emit events
@@ -30,6 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[macro_use]
+pub mod table;
 pub mod chrome;
 pub mod json;
 pub mod jsonl;
@@ -132,321 +134,323 @@ impl GcPhase {
         }
     }
 
+    /// Position in [`GcPhase::ALL`] (the declaration order).
     fn index(self) -> usize {
-        match self {
-            GcPhase::Setup => 0,
-            GcPhase::StackDecode => 1,
-            GcPhase::RootScan => 2,
-            GcPhase::BarrierFilter => 3,
-            GcPhase::PretenuredInPlaceScan => 4,
-            GcPhase::CheneyCopy => 5,
-        }
+        self as usize
     }
 }
 
-/// Start-of-collection event.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CollectionBegin {
-    /// 1-based collection number (matches `GcStats::collections`).
-    pub collection: u64,
-    /// The emitting plan's name (`"semispace"` / `"generational"`).
-    pub plan: &'static str,
-    /// Why the collection ran: `"alloc-failure"`, `"forced"` or
-    /// `"forced-major"`.
-    pub reason: &'static str,
-    /// Whether this is a major (full) collection.
-    pub major: bool,
-    /// Stack depth (frames) at collection time.
-    pub depth: u64,
-    /// Position on the simulated timeline when the collection started:
-    /// client cycles + GC cycles accumulated so far.
-    pub start_cycles: u64,
-    /// Time-to-safepoint: client cycles elapsed between the mutator's
-    /// last safepoint poll and this collection. Zero when TTSP tracking
-    /// is off (the default) — the JSONL sink omits the field then, so
-    /// untracked traces stay byte-identical.
-    pub ttsp_cycles: u64,
+records! {
+    /// Start-of-collection event.
+    pub struct CollectionBegin = "collection-begin" {
+        /// 1-based collection number (matches `GcStats::collections`).
+        collection: U64,
+        /// The emitting plan's name.
+        plan: Enum["semispace", "generational"],
+        /// Why the collection ran.
+        reason: Enum["alloc-failure", "forced", "forced-major"],
+        /// Whether this is a major (full) collection.
+        major: Bool,
+        /// Stack depth (frames) at collection time.
+        depth: U64,
+        /// Position on the simulated timeline when the collection started:
+        /// client cycles + GC cycles accumulated so far.
+        start_cycles: U64,
+        /// Time-to-safepoint: client cycles elapsed between the mutator's
+        /// last safepoint poll and this collection. Zero when TTSP tracking
+        /// is off (the default) — the JSONL sink omits the field then, so
+        /// untracked traces stay byte-identical.
+        ttsp_cycles: U64 omit IfZero,
+    }
+
+    /// One phase's span within a collection.
+    pub struct PhaseSpan = "phase" {
+        /// The collection this span belongs to.
+        collection: U64,
+        /// Which phase.
+        phase: Phase,
+        /// Simulated cycles attributed to the phase. Per collection, the
+        /// emitted spans sum exactly to the collection's GC-cycle delta.
+        cycles: U64,
+        /// Wall-clock nanoseconds spent in the phase.
+        wall_ns: U64,
+    }
+
+    /// End-of-collection event: the collection's `GcStats` deltas, the §5
+    /// reuse-depth snapshot, and cumulative histogram snapshots.
+    pub struct CollectionEnd = "collection-end" {
+        /// 1-based collection number.
+        collection: U64,
+        /// Whether this was a major (full) collection.
+        major: Bool,
+        /// Stack depth (frames) at collection time.
+        depth: U64,
+        /// Frames of cached scan results the collector claimed to reuse.
+        claimed_prefix: U64,
+        /// The §5 reuse bound `min(M, deepest intact marker)` the claim is
+        /// checked against.
+        oracle_prefix: U64,
+        /// Bytes copied by this collection.
+        copied_bytes: U64,
+        /// Words Cheney-scanned by this collection.
+        scanned_words: U64,
+        /// Words of pretenured regions scanned in place by this collection.
+        pretenured_scanned_words: U64,
+        /// Roots examined by this collection.
+        roots_found: U64,
+        /// Stack frames decoded from scratch.
+        frames_scanned: U64,
+        /// Stack frames whose cached scan was reused.
+        frames_reused: U64,
+        /// Stack slots classified via trace-table decoding.
+        slots_scanned: U64,
+        /// Write-barrier entries filtered.
+        barrier_entries: U64,
+        /// Stack markers placed.
+        markers_placed: U64,
+        /// Simulated GC cycles this collection consumed (equals the sum of
+        /// its phase spans).
+        gc_cycles: U64,
+        /// Position on the simulated timeline when the collection ended.
+        end_cycles: U64,
+        /// Live bytes after the collection.
+        live_bytes_after: U64,
+        /// Wall-clock nanoseconds for the whole collection.
+        wall_ns: U64,
+        /// Chunks of the heap's address space owned by spaces at collection
+        /// end (constant per plan; a layout fingerprint for trace readers).
+        chunks_owned: U64,
+        /// Side-metadata words (dirty + mark bitmap words) retired by this
+        /// collection's bulk clears.
+        side_cleared_words: U64,
+        /// Snapshot of the run-cumulative histogram of GC-processed object
+        /// sizes in bytes (copied or scanned in place).
+        size_hist: Hist,
+        /// Snapshot of the run-cumulative histogram of stack depth at
+        /// collection time.
+        depth_hist: Hist,
+        /// Number of GC workers that ran this collection (1 on the serial
+        /// lane). The JSONL sink emits worker fields only when this is > 1,
+        /// keeping serial traces byte-identical to pre-scheduler runs.
+        workers: U64 omit IfSerial,
+        /// Bytes copied by each worker, in worker-index order (empty on the
+        /// serial lane). Sums exactly to `copied_bytes`; the schema
+        /// validator checks the identity.
+        worker_copied_bytes: U64s omit IfSerial,
+    }
+
+    /// Per-allocation-site counters accumulated since the previous sample
+    /// (i.e. since the previous collection). Summing a site's samples over
+    /// the run reproduces its end-of-run totals; the sequence itself is the
+    /// site's lifetime time-series.
+    pub struct SiteSample = "site-sample" {
+        /// The collection this sample was taken at.
+        collection: U64,
+        /// Raw 16-bit allocation-site id (resolved to a name by the sinks'
+        /// metadata line).
+        site: U16,
+        /// Objects allocated from this site since the last sample.
+        allocs: U64,
+        /// Bytes allocated from this site since the last sample.
+        alloc_bytes: U64,
+        /// Objects from this site copied by the collector since the last
+        /// sample (any copy, not just first promotion).
+        copied_objects: U64,
+        /// Bytes from this site copied since the last sample.
+        copied_bytes: U64,
+        /// Objects from this site that survived their *first* collection
+        /// (copied out of the nursery) since the last sample — the numerator
+        /// of the paper's per-site "% old" survival rate.
+        survived: U64,
+    }
+
+    /// Start of a heap-pressure episode: an allocation that the ordinary
+    /// collect-and-retry path could not satisfy, handing control to the
+    /// escalation governor.
+    pub struct PressureBegin = "pressure-begin" {
+        /// Raw allocation-site id of the request that hit pressure.
+        site: U16,
+        /// Words the request asked for.
+        words: U64,
+        /// Wire name of the space under pressure.
+        space: Enum["nursery", "tenured", "los"],
+        /// Position on the simulated timeline (client + GC cycles) when the
+        /// episode started.
+        start_cycles: U64,
+    }
+
+    /// One rung of the governor's escalation ladder taken during a pressure
+    /// episode.
+    pub struct PressureRung = "pressure-rung" {
+        /// Wire name of the rung.
+        rung: Enum["retry-minor", "retry-major", "rebalance", "demote"],
+        /// Allocation site the ladder is working for (for `"demote"` rungs,
+        /// the site being demoted).
+        site: U16,
+        /// Words the triggering request asked for.
+        words: U64,
+        /// What the rung achieved: `"recovered"` (the retry fit),
+        /// `"escalated"` (on to the next rung) or `"demoted"` (a pretenured
+        /// site was flipped back to the nursery).
+        outcome: Enum["recovered", "escalated", "demoted"],
+        /// Simulated cycles charged for taking the rung (accumulated into
+        /// `GcStats` outside any collection's phase spans).
+        cycles: U64,
+    }
+
+    /// End of a heap-pressure episode.
+    pub struct PressureEnd = "pressure-end" {
+        /// How the episode ended: `"recovered"` (the allocation eventually
+        /// fit) or `"exhausted"` (a typed out-of-memory error was returned).
+        outcome: Enum["recovered", "exhausted"],
+        /// Number of ladder rungs taken.
+        rungs: U64,
+        /// Total simulated cycles charged for the episode's rungs (equals
+        /// the sum of its [`PressureRung`] cycles).
+        cycles: U64,
+    }
+
+    /// An online-adaptive policy promoted an allocation site: from this
+    /// point its allocations are placed directly in the tenured generation.
+    pub struct SitePromote = "site-promote" {
+        /// The collection whose evidence triggered the flip.
+        collection: U64,
+        /// Raw 16-bit allocation-site id.
+        site: U16,
+        /// The estimator's survival EWMA (per-mille, 0..=1000) at flip time.
+        survival_permille: U64,
+    }
+
+    /// An online-adaptive policy demoted an allocation site back to the
+    /// nursery path.
+    pub struct SiteDemote = "site-demote" {
+        /// The collection whose evidence (or whose pressure episode)
+        /// triggered the flip.
+        collection: U64,
+        /// Raw 16-bit allocation-site id.
+        site: U16,
+        /// The estimator's survival EWMA (per-mille, 0..=1000) at flip time.
+        survival_permille: U64,
+        /// Why the site was demoted: `"adaptive"` (the estimator's EWMA fell
+        /// through the demote band) or `"pressure"` (the governor's demote
+        /// rung forced it under heap pressure).
+        reason: Enum["adaptive", "pressure"],
+    }
+
+    /// One space's row in a [`HeapCensus`].
+    pub struct SpaceCensus {
+        /// Wire name of the space — the same labels the spaces reserve
+        /// chunks under.
+        space: Enum["semispace", "nursery", "tenured", "los"],
+        /// Words of live data held by the space after the collection.
+        used_words: U64,
+        /// Words of address space the space can currently allocate into
+        /// (active-copy capacity; for the LOS, its whole range).
+        reserved_words: U64,
+        /// Chunks of the heap's address space owned by the space (from the
+        /// chunk map's ownership labels).
+        chunks: U64,
+    }
+
+    /// Per-collection heap census, emitted immediately after each
+    /// [`CollectionEnd`]: per-space occupancy plus the pretenuring route
+    /// table's current size. Gives trace readers the occupancy time-series
+    /// that end-of-run aggregates flatten away.
+    pub struct HeapCensus = "heap-census" {
+        /// The collection this census was taken after.
+        collection: U64,
+        /// Allocation sites currently routed tenured-at-birth (0 on plans
+        /// without pretenuring).
+        pretenured_sites: U64,
+        /// One row per space, in the plan's canonical space order.
+        spaces: Rows(SpaceCensus),
+    }
+
+    /// Start of a mid-cycle degradation episode: a parallel collection lost
+    /// a worker (panic, watchdog expiry, or cycle-budget exhaustion) or
+    /// found orphaned packets at section close, and the coordinator drained
+    /// the remaining work on the exact serial path. Emitted right after the
+    /// affected collection's `collection-end` line, like a census.
+    pub struct DegradationBegin = "degradation-begin" {
+        /// The collection that degraded.
+        collection: U64,
+        /// What first triggered the degradation: `"panic"` (a worker
+        /// unwound), `"watchdog"` (a worker blew its stall deadline),
+        /// `"budget"` (a worker exhausted its cycle budget) or `"orphan"`
+        /// (no worker was lost but a dropped packet surfaced at close).
+        trigger: Enum["panic", "watchdog", "budget", "orphan"],
+        /// Workers the collection started with.
+        workers: U64,
+        /// Workers lost by the time the section closed.
+        workers_lost: U64,
+    }
+
+    /// End of a mid-cycle degradation episode.
+    pub struct DegradationEnd = "degradation-end" {
+        /// The collection that degraded (matches the episode's begin).
+        collection: U64,
+        /// Packets the coordinator drained serially (requeued in-flight
+        /// work plus anything still unclaimed when the queue closed).
+        leftover_packets: U64,
+        /// How the episode ended — always `"drained"`: the serial oracle
+        /// path completes unconditionally, so a degraded collection still
+        /// terminates with the exact serial answer.
+        outcome: Enum["drained"],
+    }
+
+    /// The leading line of a JSONL stream: run identity plus the site-id →
+    /// name table needed to interpret `site-sample` lines.
+    pub struct Meta = "meta" {
+        /// The collector label the run was recorded under (free-form).
+        plan: Text,
+        /// The benchmark name.
+        bench: Text,
+        /// Clock rate of the cost model, converting cycles to time.
+        clock_hz: U64,
+        /// The run's allocation sites.
+        sites: Rows(SiteName),
+    }
+
+    /// One row of the [`Meta`] site table.
+    pub struct SiteName {
+        /// Raw 16-bit allocation-site id.
+        id: U16,
+        /// The site's registered name.
+        name: Text,
+    }
 }
 
-/// One phase's span within a collection.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PhaseSpan {
-    /// The collection this span belongs to.
-    pub collection: u64,
-    /// Which phase.
-    pub phase: GcPhase,
-    /// Simulated cycles attributed to the phase. Per collection, the
-    /// emitted spans sum exactly to the collection's GC-cycle delta.
-    pub cycles: u64,
-    /// Wall-clock nanoseconds spent in the phase.
-    pub wall_ns: u64,
-}
-
-/// End-of-collection event: the collection's `GcStats` deltas, the §5
-/// reuse-depth snapshot, and cumulative histogram snapshots.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CollectionEnd {
-    /// 1-based collection number.
-    pub collection: u64,
-    /// Whether this was a major (full) collection.
-    pub major: bool,
-    /// Stack depth (frames) at collection time.
-    pub depth: u64,
-    /// Frames of cached scan results the collector claimed to reuse.
-    pub claimed_prefix: u64,
-    /// The §5 reuse bound `min(M, deepest intact marker)` the claim is
-    /// checked against.
-    pub oracle_prefix: u64,
-    /// Bytes copied by this collection.
-    pub copied_bytes: u64,
-    /// Words Cheney-scanned by this collection.
-    pub scanned_words: u64,
-    /// Words of pretenured regions scanned in place by this collection.
-    pub pretenured_scanned_words: u64,
-    /// Roots examined by this collection.
-    pub roots_found: u64,
-    /// Stack frames decoded from scratch.
-    pub frames_scanned: u64,
-    /// Stack frames whose cached scan was reused.
-    pub frames_reused: u64,
-    /// Stack slots classified via trace-table decoding.
-    pub slots_scanned: u64,
-    /// Write-barrier entries filtered.
-    pub barrier_entries: u64,
-    /// Stack markers placed.
-    pub markers_placed: u64,
-    /// Simulated GC cycles this collection consumed (equals the sum of
-    /// its phase spans).
-    pub gc_cycles: u64,
-    /// Position on the simulated timeline when the collection ended.
-    pub end_cycles: u64,
-    /// Live bytes after the collection.
-    pub live_bytes_after: u64,
-    /// Wall-clock nanoseconds for the whole collection.
-    pub wall_ns: u64,
-    /// Snapshot of the run-cumulative histogram of GC-processed object
-    /// sizes in bytes (copied or scanned in place).
-    pub size_hist: Hist,
-    /// Snapshot of the run-cumulative histogram of stack depth at
-    /// collection time.
-    pub depth_hist: Hist,
-    /// Number of GC workers that ran this collection (1 on the serial
-    /// lane). The JSONL sink emits worker fields only when this is > 1,
-    /// keeping serial traces byte-identical to pre-scheduler runs.
-    pub workers: u64,
-    /// Bytes copied by each worker, in worker-index order (empty on the
-    /// serial lane). Sums exactly to `copied_bytes`; the schema
-    /// validator checks the identity.
-    pub worker_copied_bytes: Vec<u64>,
-    /// Chunks of the heap's address space owned by spaces at collection
-    /// end (constant per plan; a layout fingerprint for trace readers).
-    pub chunks_owned: u64,
-    /// Side-metadata words (dirty + mark bitmap words) retired by this
-    /// collection's bulk clears.
-    pub side_cleared_words: u64,
-}
-
-/// Per-allocation-site counters accumulated since the previous sample
-/// (i.e. since the previous collection). Summing a site's samples over
-/// the run reproduces its end-of-run totals; the sequence itself is the
-/// site's lifetime time-series.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SiteSample {
-    /// The collection this sample was taken at.
-    pub collection: u64,
-    /// Raw 16-bit allocation-site id (resolved to a name by the sinks'
-    /// metadata line).
-    pub site: u16,
-    /// Objects allocated from this site since the last sample.
-    pub allocs: u64,
-    /// Bytes allocated from this site since the last sample.
-    pub alloc_bytes: u64,
-    /// Objects from this site copied by the collector since the last
-    /// sample (any copy, not just first promotion).
-    pub copied_objects: u64,
-    /// Bytes from this site copied since the last sample.
-    pub copied_bytes: u64,
-    /// Objects from this site that survived their *first* collection
-    /// (copied out of the nursery) since the last sample — the numerator
-    /// of the paper's per-site "% old" survival rate.
-    pub survived: u64,
-}
-
-/// Start of a heap-pressure episode: an allocation that the ordinary
-/// collect-and-retry path could not satisfy, handing control to the
-/// escalation governor.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PressureBegin {
-    /// Raw allocation-site id of the request that hit pressure.
-    pub site: u16,
-    /// Words the request asked for.
-    pub words: u64,
-    /// Wire name of the space under pressure (`"nursery"`, `"tenured"`,
-    /// `"los"`).
-    pub space: &'static str,
-    /// Position on the simulated timeline (client + GC cycles) when the
-    /// episode started.
-    pub start_cycles: u64,
-}
-
-/// One rung of the governor's escalation ladder taken during a pressure
-/// episode.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PressureRung {
-    /// Wire name of the rung: `"retry-minor"`, `"retry-major"`,
-    /// `"rebalance"` or `"demote"`.
-    pub rung: &'static str,
-    /// Allocation site the ladder is working for (for `"demote"` rungs,
-    /// the site being demoted).
-    pub site: u16,
-    /// Words the triggering request asked for.
-    pub words: u64,
-    /// What the rung achieved: `"recovered"` (the retry fit),
-    /// `"escalated"` (on to the next rung) or `"demoted"` (a pretenured
-    /// site was flipped back to the nursery).
-    pub outcome: &'static str,
-    /// Simulated cycles charged for taking the rung (accumulated into
-    /// `GcStats` outside any collection's phase spans).
-    pub cycles: u64,
-}
-
-/// An online-adaptive policy promoted an allocation site: from this
-/// point its allocations are placed directly in the tenured generation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SitePromote {
-    /// The collection whose evidence triggered the flip.
-    pub collection: u64,
-    /// Raw 16-bit allocation-site id.
-    pub site: u16,
-    /// The estimator's survival EWMA (per-mille, 0..=1000) at flip time.
-    pub survival_permille: u64,
-}
-
-/// An online-adaptive policy demoted an allocation site back to the
-/// nursery path.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SiteDemote {
-    /// The collection whose evidence (or whose pressure episode)
-    /// triggered the flip.
-    pub collection: u64,
-    /// Raw 16-bit allocation-site id.
-    pub site: u16,
-    /// The estimator's survival EWMA (per-mille, 0..=1000) at flip time.
-    pub survival_permille: u64,
-    /// Why the site was demoted: `"adaptive"` (the estimator's EWMA fell
-    /// through the demote band) or `"pressure"` (the governor's demote
-    /// rung forced it under heap pressure).
-    pub reason: &'static str,
-}
-
-/// One space's row in a [`HeapCensus`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpaceCensus {
-    /// Wire name of the space (`"nursery"`, `"tenured"`, `"los"`,
-    /// `"semispace"` — the same labels the spaces reserve chunks under).
-    pub space: &'static str,
-    /// Words of live data held by the space after the collection.
-    pub used_words: u64,
-    /// Words of address space the space can currently allocate into
-    /// (active-copy capacity; for the LOS, its whole range).
-    pub reserved_words: u64,
-    /// Chunks of the heap's address space owned by the space (from the
-    /// chunk map's ownership labels).
-    pub chunks: u64,
-}
-
-/// Per-collection heap census, emitted immediately after each
-/// [`CollectionEnd`]: per-space occupancy plus the pretenuring route
-/// table's current size. Gives trace readers the occupancy time-series
-/// that end-of-run aggregates flatten away.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HeapCensus {
-    /// The collection this census was taken after.
-    pub collection: u64,
-    /// Allocation sites currently routed tenured-at-birth (0 on plans
-    /// without pretenuring).
-    pub pretenured_sites: u64,
-    /// One row per space, in the plan's canonical space order.
-    pub spaces: Vec<SpaceCensus>,
-}
-
-/// Start of a mid-cycle degradation episode: a parallel collection lost
-/// a worker (panic, watchdog expiry, or cycle-budget exhaustion) or
-/// found orphaned packets at section close, and the coordinator drained
-/// the remaining work on the exact serial path. Emitted right after the
-/// affected collection's `collection-end` line, like a census.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DegradationBegin {
-    /// The collection that degraded.
-    pub collection: u64,
-    /// What first triggered the degradation: `"panic"` (a worker
-    /// unwound), `"watchdog"` (a worker blew its stall deadline),
-    /// `"budget"` (a worker exhausted its cycle budget) or `"orphan"`
-    /// (no worker was lost but a dropped packet surfaced at close).
-    pub trigger: &'static str,
-    /// Workers the collection started with.
-    pub workers: u64,
-    /// Workers lost by the time the section closed.
-    pub workers_lost: u64,
-}
-
-/// End of a mid-cycle degradation episode.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DegradationEnd {
-    /// The collection that degraded (matches the episode's begin).
-    pub collection: u64,
-    /// Packets the coordinator drained serially (requeued in-flight
-    /// work plus anything still unclaimed when the queue closed).
-    pub leftover_packets: u64,
-    /// How the episode ended — always `"drained"`: the serial oracle
-    /// path completes unconditionally, so a degraded collection still
-    /// terminates with the exact serial answer.
-    pub outcome: &'static str,
-}
-
-/// End of a heap-pressure episode.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PressureEnd {
-    /// How the episode ended: `"recovered"` (the allocation eventually
-    /// fit) or `"exhausted"` (a typed out-of-memory error was returned).
-    pub outcome: &'static str,
-    /// Number of ladder rungs taken.
-    pub rungs: u64,
-    /// Total simulated cycles charged for the episode's rungs (equals
-    /// the sum of its [`PressureRung`] cycles).
-    pub cycles: u64,
-}
-
-/// One telemetry event.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
-    /// A collection started.
-    CollectionBegin(CollectionBegin),
-    /// A phase of a collection completed.
-    Phase(PhaseSpan),
-    /// A collection finished. Boxed: the end record (two inline
-    /// histograms) is ~6× the size of the other variants, and most
-    /// events in a stream are phases and site samples.
-    CollectionEnd(Box<CollectionEnd>),
-    /// Per-site survival counters sampled at a collection.
-    SiteSample(SiteSample),
-    /// A heap-pressure episode started.
-    PressureBegin(PressureBegin),
-    /// The governor took one escalation rung.
-    PressureRung(PressureRung),
-    /// A heap-pressure episode ended.
-    PressureEnd(PressureEnd),
-    /// An adaptive policy promoted a site to tenured-at-birth placement.
-    SitePromote(SitePromote),
-    /// An adaptive policy (or the pressure governor) demoted a site back
-    /// to the nursery.
-    SiteDemote(SiteDemote),
-    /// Per-space occupancy census taken right after a collection.
-    HeapCensus(HeapCensus),
-    /// A parallel collection degraded mid-cycle to the serial drain.
-    DegradationBegin(DegradationBegin),
-    /// The degraded collection's serial drain completed.
-    DegradationEnd(DegradationEnd),
+events! {
+    /// One telemetry event.
+    pub enum Event {
+        /// A collection started.
+        CollectionBegin(CollectionBegin),
+        /// A phase of a collection completed.
+        Phase(PhaseSpan),
+        /// A collection finished. Boxed: the end record (two inline
+        /// histograms) is ~6× the size of the other variants, and most
+        /// events in a stream are phases and site samples.
+        CollectionEnd(Box<CollectionEnd>),
+        /// Per-site survival counters sampled at a collection.
+        SiteSample(SiteSample),
+        /// A heap-pressure episode started.
+        PressureBegin(PressureBegin),
+        /// The governor took one escalation rung.
+        PressureRung(PressureRung),
+        /// A heap-pressure episode ended.
+        PressureEnd(PressureEnd),
+        /// An adaptive policy promoted a site to tenured-at-birth placement.
+        SitePromote(SitePromote),
+        /// An adaptive policy (or the pressure governor) demoted a site back
+        /// to the nursery.
+        SiteDemote(SiteDemote),
+        /// Per-space occupancy census taken right after a collection.
+        HeapCensus(HeapCensus),
+        /// A parallel collection degraded mid-cycle to the serial drain.
+        DegradationBegin(DegradationBegin),
+        /// The degraded collection's serial drain completed.
+        DegradationEnd(DegradationEnd),
+    }
 }
 
 /// An event sink installed in the mutator state.
@@ -603,28 +607,12 @@ impl PhaseTimer {
     }
 }
 
-/// One site's counter deltas since the last sample.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct SiteDelta {
-    allocs: u64,
-    alloc_bytes: u64,
-    copied_objects: u64,
-    copied_bytes: u64,
-    survived: u64,
-}
-
-impl SiteDelta {
-    fn is_zero(&self) -> bool {
-        *self == SiteDelta::default()
-    }
-}
-
 /// A read-only view of one site's accumulated counter window — the same
 /// deltas a [`SiteSample`] would carry, exposed *without* draining so an
 /// online policy can read the evidence a collection produced before the
 /// recorder's sample drain resets it (see
 /// [`TelemetryAcc::windows`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SiteWindow {
     /// Raw 16-bit allocation-site id.
     pub site: u16,
@@ -641,6 +629,20 @@ pub struct SiteWindow {
     pub survived: u64,
 }
 
+impl SiteWindow {
+    /// An empty window for `site`.
+    fn empty(site: u16) -> SiteWindow {
+        SiteWindow {
+            site,
+            ..SiteWindow::default()
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        *self == SiteWindow::empty(self.site)
+    }
+}
+
 /// The plan-owned telemetry accumulator: per-site allocation/copy deltas
 /// (drained into [`SiteSample`]s at each collection) and the
 /// run-cumulative object-size and stack-depth histograms snapshotted into
@@ -652,7 +654,8 @@ pub struct SiteWindow {
 /// simulated cycles are ever charged for it.
 #[derive(Debug, Default)]
 pub struct TelemetryAcc {
-    sites: Vec<SiteDelta>,
+    /// One window per site id, indexed by id.
+    sites: Vec<SiteWindow>,
     /// Cumulative histogram of GC-processed object sizes in bytes.
     pub size_hist: Hist,
     /// Cumulative histogram of stack depth at collection time.
@@ -660,10 +663,10 @@ pub struct TelemetryAcc {
 }
 
 impl TelemetryAcc {
-    fn site_mut(&mut self, site: u16) -> &mut SiteDelta {
+    fn site_mut(&mut self, site: u16) -> &mut SiteWindow {
         let i = site as usize;
-        if i >= self.sites.len() {
-            self.sites.resize(i + 1, SiteDelta::default());
+        while self.sites.len() <= i {
+            self.sites.push(SiteWindow::empty(self.sites.len() as u16));
         }
         &mut self.sites[i]
     }
@@ -705,18 +708,7 @@ impl TelemetryAcc {
     /// installed) or [`clear_windows`](TelemetryAcc::clear_windows)
     /// (recorder absent) closes the window.
     pub fn windows(&self) -> impl Iterator<Item = SiteWindow> + '_ {
-        self.sites
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| !d.is_zero())
-            .map(|(site, d)| SiteWindow {
-                site: site as u16,
-                allocs: d.allocs,
-                alloc_bytes: d.alloc_bytes,
-                copied_objects: d.copied_objects,
-                copied_bytes: d.copied_bytes,
-                survived: d.survived,
-            })
+        self.sites.iter().filter(|w| !w.is_empty()).copied()
     }
 
     /// Resets every site window without emitting samples — the
@@ -724,31 +716,30 @@ impl TelemetryAcc {
     /// [`drain_samples`](TelemetryAcc::drain_samples), used when the
     /// accumulator exists only to feed an online policy.
     pub fn clear_windows(&mut self) {
-        for d in &mut self.sites {
-            *d = SiteDelta::default();
+        for w in &mut self.sites {
+            *w = SiteWindow::empty(w.site);
         }
     }
 
     /// Emits a [`SiteSample`] for every site with activity since the last
-    /// drain, in site order, and resets the deltas.
+    /// drain, in site order, and resets the windows.
     pub fn drain_samples(&mut self, collection: u64) -> Vec<Event> {
-        let mut out = Vec::new();
-        for (site, d) in self.sites.iter_mut().enumerate() {
-            if d.is_zero() {
-                continue;
-            }
-            out.push(Event::SiteSample(SiteSample {
-                collection,
-                site: site as u16,
-                allocs: d.allocs,
-                alloc_bytes: d.alloc_bytes,
-                copied_objects: d.copied_objects,
-                copied_bytes: d.copied_bytes,
-                survived: d.survived,
-            }));
-            *d = SiteDelta::default();
-        }
-        out
+        let samples = self
+            .windows()
+            .map(|w| {
+                Event::SiteSample(SiteSample {
+                    collection,
+                    site: w.site,
+                    allocs: w.allocs,
+                    alloc_bytes: w.alloc_bytes,
+                    copied_objects: w.copied_objects,
+                    copied_bytes: w.copied_bytes,
+                    survived: w.survived,
+                })
+            })
+            .collect();
+        self.clear_windows();
+        samples
     }
 }
 

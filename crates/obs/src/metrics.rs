@@ -222,8 +222,8 @@ impl PauseMetrics {
         m
     }
 
-    /// Records a pause bracket directly (used by JSONL readers that parse
-    /// lines without reconstructing `Event` values).
+    /// Records a pause bracket directly, for callers that time
+    /// collections without an event stream.
     pub fn push_pause(&mut self, start_cycles: u64, end_cycles: u64, gc_cycles: u64) {
         self.hist.record(gc_cycles);
         self.pauses.push((start_cycles, end_cycles));
@@ -332,12 +332,6 @@ impl TtspMetrics {
             m.observe(e);
         }
         m
-    }
-
-    /// Records one TTSP observation directly (used by JSONL readers; an
-    /// omitted `ttsp_cycles` field reads as 0).
-    pub fn push(&mut self, ttsp_cycles: u64) {
-        self.hist.record(ttsp_cycles);
     }
 
     /// Folds another run's TTSP histogram into this one (multi-benchmark
@@ -635,7 +629,11 @@ mod tests {
             b.ttsp_cycles = 0;
         }
         m.observe(&ttsp);
-        m.push(10);
+        if let Event::CollectionBegin(b) = &mut ttsp {
+            b.collection = 3;
+            b.ttsp_cycles = 10;
+        }
+        m.observe(&ttsp);
         assert_eq!(m.histogram().count(), 3);
         assert_eq!(m.histogram().sum(), 50);
         assert_eq!(m.histogram().max(), 40);

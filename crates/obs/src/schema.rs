@@ -1,410 +1,244 @@
 //! Schema validation for the telemetry sinks' output, used by the
-//! `experiments gc-log --validate` flag and by CI to check every emitted
-//! JSONL line against the schema documented in DESIGN.md.
+//! `experiments gc-log --validate` flag and by CI. A JSONL line is valid
+//! when it decodes through its kind's field table
+//! ([`crate::jsonl::decode_line`]) and passes [`check`]; a document is
+//! valid when, in addition, its events are properly bracketed.
 
 use crate::json::{parse, Value};
-use crate::{GcPhase, HIST_BUCKETS};
+use crate::jsonl::{decode_line, for_each_line, Line};
+use crate::Event;
 
-/// Field-type shorthand for [`require`].
-enum Ty {
-    U64,
-    Bool,
-    Str,
-    Hist,
-    U64Array,
-}
-
-fn require(v: &Value, fields: &[(&str, Ty)]) -> Result<(), String> {
-    for (key, ty) in fields {
-        let field = v.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
-        let ok = match ty {
-            Ty::U64 => field.as_u64().is_some(),
-            Ty::Bool => field.as_bool().is_some(),
-            Ty::Str => field.as_str().is_some(),
-            Ty::Hist => field
-                .as_array()
-                .is_some_and(|a| a.len() == HIST_BUCKETS && a.iter().all(|b| b.as_u64().is_some())),
-            Ty::U64Array => field
-                .as_array()
-                .is_some_and(|a| a.iter().all(|b| b.as_u64().is_some())),
-        };
-        if !ok {
-            return Err(format!("field {key:?} has wrong type"));
-        }
-    }
-    // Reject unknown fields so the documented schema stays authoritative.
-    let known: Vec<&str> = fields.iter().map(|(k, _)| *k).chain(["type"]).collect();
-    for (key, _) in v.as_object().unwrap_or(&[]) {
-        if !known.contains(&key.as_str()) {
-            return Err(format!("unknown field {key:?}"));
-        }
-    }
-    Ok(())
-}
-
-/// Validates one JSONL line against the telemetry schema.
-pub fn validate_line(line: &str) -> Result<(), String> {
-    let v = parse(line)?;
-    let kind = v
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or("missing string field \"type\"")?;
-    match kind {
-        "meta" => {
-            // `sites` is an object array, not a scalar, so this variant
-            // is checked by hand rather than through `require`.
-            for key in ["plan", "bench"] {
-                if v.get(key).and_then(Value::as_str).is_none() {
-                    return Err(format!("meta: missing string field {key:?}"));
-                }
-            }
-            if v.get("clock_hz")
-                .and_then(Value::as_u64)
-                .is_none_or(|c| c == 0)
-            {
-                return Err("meta: clock_hz must be a positive integer".to_string());
-            }
-            let sites = v
-                .get("sites")
-                .and_then(Value::as_array)
-                .ok_or("meta: missing array field \"sites\"")?;
-            for s in sites {
-                if s.get("id")
-                    .and_then(Value::as_u64)
-                    .is_none_or(|id| id > u16::MAX as u64)
-                    || s.get("name").and_then(Value::as_str).is_none()
-                {
-                    return Err("meta: bad site entry".to_string());
-                }
-            }
-            for (key, _) in v.as_object().unwrap_or(&[]) {
-                if !["type", "plan", "bench", "clock_hz", "sites"].contains(&key.as_str()) {
-                    return Err(format!("meta: unknown field {key:?}"));
-                }
-            }
-            Ok(())
-        }
-        "collection-begin" => {
-            // `ttsp_cycles` is optional: the sink omits it when the
-            // observed time-to-safepoint is zero (or tracking is off),
-            // so when present it must be nonzero.
-            let mut fields = vec![
-                ("collection", Ty::U64),
-                ("plan", Ty::Str),
-                ("reason", Ty::Str),
-                ("major", Ty::Bool),
-                ("depth", Ty::U64),
-                ("start_cycles", Ty::U64),
-            ];
-            let has_ttsp = v.get("ttsp_cycles").is_some();
-            if has_ttsp {
-                fields.push(("ttsp_cycles", Ty::U64));
-            }
-            require(&v, &fields).and_then(|()| {
-                let reason = v.get("reason").unwrap().as_str().unwrap();
-                if !["alloc-failure", "forced", "forced-major"].contains(&reason) {
-                    return Err(format!("unknown reason {reason:?}"));
-                }
-                if has_ttsp && v.get("ttsp_cycles").unwrap().as_u64() == Some(0) {
-                    return Err("ttsp_cycles present but zero (should be omitted)".to_string());
-                }
-                Ok(())
-            })
-        }
-        "phase" => require(
-            &v,
-            &[
-                ("collection", Ty::U64),
-                ("phase", Ty::Str),
-                ("cycles", Ty::U64),
-                ("wall_ns", Ty::U64),
-            ],
-        )
-        .and_then(|()| {
-            let name = v.get("phase").unwrap().as_str().unwrap();
-            if GcPhase::ALL.iter().any(|p| p.wire_name() == name) {
-                Ok(())
-            } else {
-                Err(format!("unknown phase {name:?}"))
-            }
-        }),
-        "collection-end" => {
-            // Worker fields are optional-together: serial collections
-            // omit both, parallel collections carry both plus the
-            // copied-bytes reconciliation identity.
-            let parallel = v.get("workers").is_some() || v.get("worker_copied_bytes").is_some();
-            let mut fields = vec![
-                ("collection", Ty::U64),
-                ("major", Ty::Bool),
-                ("depth", Ty::U64),
-                ("claimed_prefix", Ty::U64),
-                ("oracle_prefix", Ty::U64),
-                ("copied_bytes", Ty::U64),
-                ("scanned_words", Ty::U64),
-                ("pretenured_scanned_words", Ty::U64),
-                ("roots_found", Ty::U64),
-                ("frames_scanned", Ty::U64),
-                ("frames_reused", Ty::U64),
-                ("slots_scanned", Ty::U64),
-                ("barrier_entries", Ty::U64),
-                ("markers_placed", Ty::U64),
-                ("gc_cycles", Ty::U64),
-                ("end_cycles", Ty::U64),
-                ("live_bytes_after", Ty::U64),
-                ("wall_ns", Ty::U64),
-                ("chunks_owned", Ty::U64),
-                ("side_cleared_words", Ty::U64),
-                ("size_hist", Ty::Hist),
-                ("depth_hist", Ty::Hist),
-            ];
-            if parallel {
-                fields.push(("workers", Ty::U64));
-                fields.push(("worker_copied_bytes", Ty::U64Array));
-            }
-            require(&v, &fields).and_then(|()| {
-                let claimed = v.get("claimed_prefix").unwrap().as_u64().unwrap();
-                let oracle = v.get("oracle_prefix").unwrap().as_u64().unwrap();
-                if claimed > oracle {
-                    return Err(format!(
-                        "claimed_prefix {claimed} exceeds oracle bound {oracle}"
-                    ));
-                }
-                if parallel {
-                    let workers = v.get("workers").unwrap().as_u64().unwrap();
-                    if workers < 2 {
-                        return Err(format!(
-                            "worker fields present but workers is {workers} (< 2)"
-                        ));
-                    }
-                    let per = v.get("worker_copied_bytes").unwrap().as_array().unwrap();
-                    if per.len() as u64 != workers {
-                        return Err(format!(
-                            "worker_copied_bytes has {} entries for {workers} workers",
-                            per.len()
-                        ));
-                    }
-                    let sum: u64 = per.iter().map(|b| b.as_u64().unwrap()).sum();
-                    let copied = v.get("copied_bytes").unwrap().as_u64().unwrap();
-                    if sum != copied {
-                        return Err(format!(
-                            "worker_copied_bytes sum {sum} != copied_bytes {copied}"
-                        ));
-                    }
-                }
-                Ok(())
-            })
-        }
-        "heap-census" => {
-            // `spaces` is an object array like meta's `sites`, so this
-            // variant is checked by hand rather than through `require`.
-            for key in ["collection", "pretenured_sites"] {
-                if v.get(key).and_then(Value::as_u64).is_none() {
-                    return Err(format!("heap-census: missing integer field {key:?}"));
-                }
-            }
-            let spaces = v
-                .get("spaces")
-                .and_then(Value::as_array)
-                .ok_or("heap-census: missing array field \"spaces\"")?;
-            if spaces.is_empty() {
-                return Err("heap-census: spaces array is empty".to_string());
-            }
-            for s in spaces {
-                let name = s
-                    .get("space")
-                    .and_then(Value::as_str)
-                    .ok_or("heap-census: space row missing name")?;
-                if !["semispace", "nursery", "tenured", "los"].contains(&name) {
-                    return Err(format!("heap-census: unknown space {name:?}"));
-                }
-                for key in ["used_words", "reserved_words", "chunks"] {
-                    if s.get(key).and_then(Value::as_u64).is_none() {
-                        return Err(format!("heap-census: space row missing {key:?}"));
-                    }
-                }
-                let used = s.get("used_words").unwrap().as_u64().unwrap();
-                let reserved = s.get("reserved_words").unwrap().as_u64().unwrap();
-                if used > reserved {
-                    return Err(format!(
-                        "heap-census: {name} used_words {used} exceeds reserved_words {reserved}"
-                    ));
-                }
-            }
-            for (key, _) in v.as_object().unwrap_or(&[]) {
-                if !["type", "collection", "pretenured_sites", "spaces"].contains(&key.as_str()) {
-                    return Err(format!("heap-census: unknown field {key:?}"));
-                }
-            }
-            Ok(())
-        }
-        "site-sample" => require(
-            &v,
-            &[
-                ("collection", Ty::U64),
-                ("site", Ty::U64),
-                ("allocs", Ty::U64),
-                ("alloc_bytes", Ty::U64),
-                ("copied_objects", Ty::U64),
-                ("copied_bytes", Ty::U64),
-                ("survived", Ty::U64),
-            ],
-        )
-        .and_then(|()| {
-            let site = v.get("site").unwrap().as_u64().unwrap();
-            if site > u16::MAX as u64 {
-                return Err(format!("site id {site} out of range"));
-            }
-            let survived = v.get("survived").unwrap().as_u64().unwrap();
-            let copied = v.get("copied_objects").unwrap().as_u64().unwrap();
-            if survived > copied {
+/// The cross-field rules no single field's wire type expresses.
+pub fn check(event: &Event) -> Result<(), String> {
+    match event {
+        Event::CollectionEnd(e) => {
+            if e.claimed_prefix > e.oracle_prefix {
                 return Err(format!(
-                    "survived {survived} exceeds copied_objects {copied}"
+                    "claimed prefix {} exceeds oracle bound {}",
+                    e.claimed_prefix, e.oracle_prefix
                 ));
             }
-            Ok(())
-        }),
-        "pressure-begin" => require(
-            &v,
-            &[
-                ("site", Ty::U64),
-                ("words", Ty::U64),
-                ("space", Ty::Str),
-                ("start_cycles", Ty::U64),
-            ],
-        )
-        .and_then(|()| {
-            let space = v.get("space").unwrap().as_str().unwrap();
-            if ["nursery", "tenured", "los"].contains(&space) {
-                Ok(())
-            } else {
-                Err(format!("unknown pressure space {space:?}"))
+            if e.workers > 1 {
+                if e.worker_copied_bytes.len() as u64 != e.workers {
+                    return Err(format!(
+                        "per-worker copied bytes have {} entries for {} workers",
+                        e.worker_copied_bytes.len(),
+                        e.workers
+                    ));
+                }
+                let sum: u64 = e.worker_copied_bytes.iter().sum();
+                if sum != e.copied_bytes {
+                    return Err(format!(
+                        "per-worker copied bytes sum {sum} != copied bytes {}",
+                        e.copied_bytes
+                    ));
+                }
             }
-        }),
-        "pressure-rung" => require(
-            &v,
-            &[
-                ("rung", Ty::Str),
-                ("site", Ty::U64),
-                ("words", Ty::U64),
-                ("outcome", Ty::Str),
-                ("cycles", Ty::U64),
-            ],
-        )
-        .and_then(|()| {
-            let rung = v.get("rung").unwrap().as_str().unwrap();
-            if !["retry-minor", "retry-major", "rebalance", "demote"].contains(&rung) {
-                return Err(format!("unknown pressure rung {rung:?}"));
+        }
+        Event::SiteSample(s) if s.survived > s.copied_objects => {
+            return Err(format!(
+                "survived {} exceeds copied objects {}",
+                s.survived, s.copied_objects
+            ));
+        }
+        Event::SitePromote(crate::SitePromote {
+            survival_permille, ..
+        })
+        | Event::SiteDemote(crate::SiteDemote {
+            survival_permille, ..
+        }) if *survival_permille > 1000 => {
+            return Err(format!("survival {survival_permille}‰ exceeds 1000‰"));
+        }
+        Event::DegradationBegin(d) => {
+            if d.workers < 2 {
+                return Err(format!("degradation on {} workers (< 2)", d.workers));
             }
-            let outcome = v.get("outcome").unwrap().as_str().unwrap();
-            if !["recovered", "escalated", "demoted"].contains(&outcome) {
-                return Err(format!("unknown rung outcome {outcome:?}"));
+            if d.workers_lost > d.workers {
+                return Err(format!(
+                    "{} workers lost of {} workers",
+                    d.workers_lost, d.workers
+                ));
             }
-            Ok(())
-        }),
-        "pressure-end" => require(
-            &v,
-            &[
-                ("outcome", Ty::Str),
-                ("rungs", Ty::U64),
-                ("cycles", Ty::U64),
-            ],
-        )
-        .and_then(|()| {
-            let outcome = v.get("outcome").unwrap().as_str().unwrap();
-            if ["recovered", "exhausted"].contains(&outcome) {
-                Ok(())
-            } else {
-                Err(format!("unknown pressure outcome {outcome:?}"))
+        }
+        Event::HeapCensus(c) => {
+            if c.spaces.is_empty() {
+                return Err("census has no space rows".to_string());
             }
-        }),
-        "site-promote" => require(
-            &v,
-            &[
-                ("collection", Ty::U64),
-                ("site", Ty::U64),
-                ("survival_permille", Ty::U64),
-            ],
-        )
-        .and_then(|()| check_site_flip(&v)),
-        "site-demote" => require(
-            &v,
-            &[
-                ("collection", Ty::U64),
-                ("site", Ty::U64),
-                ("survival_permille", Ty::U64),
-                ("reason", Ty::Str),
-            ],
-        )
-        .and_then(|()| {
-            check_site_flip(&v)?;
-            let reason = v.get("reason").unwrap().as_str().unwrap();
-            if ["adaptive", "pressure"].contains(&reason) {
-                Ok(())
-            } else {
-                Err(format!("unknown demote reason {reason:?}"))
+            if let Some(s) = c.spaces.iter().find(|s| s.used_words > s.reserved_words) {
+                return Err(format!(
+                    "census: {} uses {} words of {} reserved",
+                    s.space, s.used_words, s.reserved_words
+                ));
             }
-        }),
-        "degradation-begin" => require(
-            &v,
-            &[
-                ("collection", Ty::U64),
-                ("trigger", Ty::Str),
-                ("workers", Ty::U64),
-                ("workers_lost", Ty::U64),
-            ],
-        )
-        .and_then(|()| {
-            let trigger = v.get("trigger").unwrap().as_str().unwrap();
-            if !["panic", "watchdog", "budget", "orphan"].contains(&trigger) {
-                return Err(format!("unknown degradation trigger {trigger:?}"));
-            }
-            let workers = v.get("workers").unwrap().as_u64().unwrap();
-            if workers < 2 {
-                return Err(format!("degradation on {workers} workers (< 2)"));
-            }
-            let lost = v.get("workers_lost").unwrap().as_u64().unwrap();
-            if lost > workers {
-                return Err(format!("workers_lost {lost} exceeds workers {workers}"));
-            }
-            Ok(())
-        }),
-        "degradation-end" => require(
-            &v,
-            &[
-                ("collection", Ty::U64),
-                ("leftover_packets", Ty::U64),
-                ("outcome", Ty::Str),
-            ],
-        )
-        .and_then(|()| {
-            let outcome = v.get("outcome").unwrap().as_str().unwrap();
-            if outcome == "drained" {
-                Ok(())
-            } else {
-                Err(format!("unknown degradation outcome {outcome:?}"))
-            }
-        }),
-        other => Err(format!("unknown event type {other:?}")),
-    }
-}
-
-/// Range checks shared by the `site-promote` / `site-demote` variants.
-fn check_site_flip(v: &Value) -> Result<(), String> {
-    let site = v.get("site").unwrap().as_u64().unwrap();
-    if site > u16::MAX as u64 {
-        return Err(format!("site id {site} out of range"));
-    }
-    let permille = v.get("survival_permille").unwrap().as_u64().unwrap();
-    if permille > 1000 {
-        return Err(format!("survival_permille {permille} exceeds 1000"));
+        }
+        _ => {}
     }
     Ok(())
 }
 
-/// Validates a whole JSONL document: first line must be `meta`, every
-/// line must validate, collection numbers must be properly bracketed
-/// (begin before end, strictly increasing), and per-collection phase
-/// cycles must sum exactly to the reported `gc_cycles`.
+/// [`check`] for events; a `meta` line needs a positive clock rate.
+fn check_line(line: &Line) -> Result<(), String> {
+    match line {
+        Line::Meta(m) if m.clock_hz == 0 => Err("meta: clock rate must be positive".to_string()),
+        Line::Meta(_) => Ok(()),
+        Line::Event(e) => check(e),
+    }
+}
+
+/// Validates one JSONL line: it decodes, and passes [`check`].
+pub fn validate_line(line: &str) -> Result<(), String> {
+    check_line(&decode_line(line)?)
+}
+
+/// The stream-level state of [`validate_jsonl`]: which collection,
+/// pressure and degradation brackets are open.
+#[derive(Default)]
+struct Brackets {
+    open: Option<u64>,
+    last_ended: u64,
+    phase_sum: u64,
+    pressure_open: bool,
+    rung_sum: u64,
+    rung_count: u64,
+    degradation_open: Option<u64>,
+}
+
+impl Brackets {
+    fn step(&mut self, event: &Event) -> Result<(), String> {
+        match event {
+            // Censuses, degradation and pressure episodes all sit outside
+            // collection spans (collections the pressure ladder triggers
+            // nest inside its episode, not the other way round).
+            Event::HeapCensus(_)
+            | Event::DegradationBegin(_)
+            | Event::DegradationEnd(_)
+            | Event::PressureBegin(_)
+            | Event::PressureRung(_)
+            | Event::PressureEnd(_)
+                if self.open.is_some() =>
+            {
+                return Err(format!("{} inside a collection span", event.wire_name()));
+            }
+            Event::CollectionBegin(b) => {
+                let c = b.collection;
+                if self.open.is_some() {
+                    return Err(format!("nested collection {c}"));
+                }
+                if self.degradation_open.is_some() {
+                    return Err(format!("collection {c} began inside a degradation episode"));
+                }
+                if c <= self.last_ended {
+                    return Err(format!("collection {c} out of order"));
+                }
+                self.open = Some(c);
+                self.phase_sum = 0;
+            }
+            Event::Phase(p) => {
+                if self.open != Some(p.collection) {
+                    return Err(format!("phase outside collection {}", p.collection));
+                }
+                self.phase_sum += p.cycles;
+            }
+            Event::CollectionEnd(e) => {
+                if self.open != Some(e.collection) {
+                    return Err(format!("end without begin for {}", e.collection));
+                }
+                if self.phase_sum != e.gc_cycles {
+                    return Err(format!(
+                        "phase cycles {} != collection cycles {}",
+                        self.phase_sum, e.gc_cycles
+                    ));
+                }
+                self.open = None;
+                self.last_ended = e.collection;
+            }
+            Event::HeapCensus(c) => self.after_last_ended("census", c.collection)?,
+            Event::DegradationBegin(d) => {
+                if self.degradation_open.is_some() {
+                    return Err("nested degradation episode".to_string());
+                }
+                self.after_last_ended("degradation", d.collection)?;
+                self.degradation_open = Some(d.collection);
+            }
+            Event::DegradationEnd(d) => {
+                if self.degradation_open != Some(d.collection) {
+                    return Err(format!(
+                        "degradation end without begin for {}",
+                        d.collection
+                    ));
+                }
+                self.degradation_open = None;
+            }
+            Event::PressureBegin(_) => {
+                if self.pressure_open {
+                    return Err("nested pressure episode".to_string());
+                }
+                self.pressure_open = true;
+                self.rung_sum = 0;
+                self.rung_count = 0;
+            }
+            Event::PressureRung(r) => {
+                if !self.pressure_open {
+                    return Err("rung outside a pressure episode".to_string());
+                }
+                self.rung_sum += r.cycles;
+                self.rung_count += 1;
+            }
+            Event::PressureEnd(p) => {
+                if !self.pressure_open {
+                    return Err("pressure end without begin".to_string());
+                }
+                if p.cycles != self.rung_sum {
+                    return Err(format!(
+                        "episode cycles {} != rung sum {}",
+                        p.cycles, self.rung_sum
+                    ));
+                }
+                if p.rungs != self.rung_count {
+                    return Err(format!(
+                        "episode rungs {} != rung count {}",
+                        p.rungs, self.rung_count
+                    ));
+                }
+                self.pressure_open = false;
+            }
+            Event::SiteSample(_) | Event::SitePromote(_) | Event::SiteDemote(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Censuses and degradation episodes annotate the collection that
+    /// just ended.
+    fn after_last_ended(&self, what: &str, c: u64) -> Result<(), String> {
+        if c == self.last_ended {
+            Ok(())
+        } else {
+            Err(format!(
+                "{what} for collection {c} but last ended is {}",
+                self.last_ended
+            ))
+        }
+    }
+
+    fn finish(self) -> Result<(), String> {
+        if let Some(c) = self.open {
+            return Err(format!("collection {c} never ended"));
+        }
+        if self.pressure_open {
+            return Err("pressure episode never ended".to_string());
+        }
+        if let Some(c) = self.degradation_open {
+            return Err(format!("degradation episode for {c} never ended"));
+        }
+        Ok(())
+    }
+}
+
+/// Validates a whole JSONL document, parsing each line once: the `meta`
+/// line comes first and exactly once, every line decodes and passes
+/// [`check`], collection numbers are properly bracketed (begin before
+/// end, strictly increasing), and per-collection phase cycles sum
+/// exactly to the reported `gc_cycles`.
 ///
 /// Pressure episodes are bracketed too: a `pressure-begin` opens an
 /// episode on the allocation path (so it cannot appear inside a
@@ -419,167 +253,16 @@ fn check_site_flip(v: &Value) -> Result<(), String> {
 /// its begin with no nesting.
 pub fn validate_jsonl(doc: &str) -> Result<usize, String> {
     let mut lines = 0usize;
-    let mut open: Option<u64> = None;
-    let mut last_ended = 0u64;
-    let mut phase_sum = 0u64;
-    let mut pressure_open = false;
-    let mut rung_sum = 0u64;
-    let mut rung_count = 0u64;
-    let mut degradation_open: Option<u64> = None;
-    for (i, line) in doc.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        validate_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let v = parse(line).unwrap();
-        let kind = v.get("type").unwrap().as_str().unwrap();
-        if i == 0 && kind != "meta" {
-            return Err("line 1: expected meta line".to_string());
-        }
-        match kind {
-            "collection-begin" => {
-                let c = v.get("collection").unwrap().as_u64().unwrap();
-                if open.is_some() {
-                    return Err(format!("line {}: nested collection {c}", i + 1));
-                }
-                if degradation_open.is_some() {
-                    return Err(format!(
-                        "line {}: collection {c} began inside a degradation episode",
-                        i + 1
-                    ));
-                }
-                if c <= last_ended {
-                    return Err(format!("line {}: collection {c} out of order", i + 1));
-                }
-                open = Some(c);
-                phase_sum = 0;
-            }
-            "phase" => {
-                let c = v.get("collection").unwrap().as_u64().unwrap();
-                if open != Some(c) {
-                    return Err(format!("line {}: phase outside collection {c}", i + 1));
-                }
-                phase_sum += v.get("cycles").unwrap().as_u64().unwrap();
-            }
-            "collection-end" => {
-                let c = v.get("collection").unwrap().as_u64().unwrap();
-                if open != Some(c) {
-                    return Err(format!("line {}: end without begin for {c}", i + 1));
-                }
-                let gc_cycles = v.get("gc_cycles").unwrap().as_u64().unwrap();
-                if phase_sum != gc_cycles {
-                    return Err(format!(
-                        "line {}: phase cycles {phase_sum} != gc_cycles {gc_cycles}",
-                        i + 1
-                    ));
-                }
-                open = None;
-                last_ended = c;
-            }
-            "heap-census" => {
-                let c = v.get("collection").unwrap().as_u64().unwrap();
-                if open.is_some() {
-                    return Err(format!("line {}: census inside a collection span", i + 1));
-                }
-                if c != last_ended {
-                    return Err(format!(
-                        "line {}: census for collection {c} but last ended is {last_ended}",
-                        i + 1
-                    ));
-                }
-            }
-            "degradation-begin" => {
-                let c = v.get("collection").unwrap().as_u64().unwrap();
-                if open.is_some() {
-                    return Err(format!(
-                        "line {}: degradation inside a collection span",
-                        i + 1
-                    ));
-                }
-                if degradation_open.is_some() {
-                    return Err(format!("line {}: nested degradation episode", i + 1));
-                }
-                if c != last_ended {
-                    return Err(format!(
-                        "line {}: degradation for collection {c} but last ended is {last_ended}",
-                        i + 1
-                    ));
-                }
-                degradation_open = Some(c);
-            }
-            "degradation-end" => {
-                let c = v.get("collection").unwrap().as_u64().unwrap();
-                if degradation_open != Some(c) {
-                    return Err(format!(
-                        "line {}: degradation end without begin for {c}",
-                        i + 1
-                    ));
-                }
-                degradation_open = None;
-            }
-            "pressure-begin" => {
-                if pressure_open {
-                    return Err(format!("line {}: nested pressure episode", i + 1));
-                }
-                if open.is_some() {
-                    return Err(format!(
-                        "line {}: pressure episode opened inside a collection",
-                        i + 1
-                    ));
-                }
-                pressure_open = true;
-                rung_sum = 0;
-                rung_count = 0;
-            }
-            "pressure-rung" => {
-                if !pressure_open {
-                    return Err(format!("line {}: rung outside a pressure episode", i + 1));
-                }
-                if open.is_some() {
-                    return Err(format!("line {}: rung inside a collection span", i + 1));
-                }
-                rung_sum += v.get("cycles").unwrap().as_u64().unwrap();
-                rung_count += 1;
-            }
-            "pressure-end" => {
-                if !pressure_open {
-                    return Err(format!("line {}: pressure end without begin", i + 1));
-                }
-                if open.is_some() {
-                    return Err(format!(
-                        "line {}: pressure episode ended inside a collection",
-                        i + 1
-                    ));
-                }
-                let cycles = v.get("cycles").unwrap().as_u64().unwrap();
-                if cycles != rung_sum {
-                    return Err(format!(
-                        "line {}: episode cycles {cycles} != rung sum {rung_sum}",
-                        i + 1
-                    ));
-                }
-                let rungs = v.get("rungs").unwrap().as_u64().unwrap();
-                if rungs != rung_count {
-                    return Err(format!(
-                        "line {}: episode rungs {rungs} != rung count {rung_count}",
-                        i + 1
-                    ));
-                }
-                pressure_open = false;
-            }
-            _ => {}
-        }
+    let mut brackets = Brackets::default();
+    for_each_line(doc, |line| {
         lines += 1;
-    }
-    if let Some(c) = open {
-        return Err(format!("collection {c} never ended"));
-    }
-    if pressure_open {
-        return Err("pressure episode never ended".to_string());
-    }
-    if let Some(c) = degradation_open {
-        return Err(format!("degradation episode for {c} never ended"));
-    }
+        check_line(&line)?;
+        match line {
+            Line::Event(e) => brackets.step(&e),
+            Line::Meta(_) => Ok(()),
+        }
+    })?;
+    brackets.finish()?;
     if lines == 0 {
         return Err("empty document".to_string());
     }
@@ -588,7 +271,8 @@ pub fn validate_jsonl(doc: &str) -> Result<usize, String> {
 
 /// Validates a Chrome trace document: parses as JSON, requires a
 /// `traceEvents` array whose entries all carry a `ph` string, and checks
-/// the fields of "X" (complete), "i" (instant) and "C" (counter) events.
+/// the fields of "X" (complete), "i" (instant), "C" (counter) and "M"
+/// (metadata) events.
 pub fn validate_chrome(doc: &str) -> Result<usize, String> {
     let v = parse(doc)?;
     let events = v
@@ -600,65 +284,35 @@ pub fn validate_chrome(doc: &str) -> Result<usize, String> {
             .get("ph")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("event {i}: missing ph"))?;
-        match ph {
-            "X" => {
-                for key in ["name", "cat"] {
-                    if e.get(key).and_then(Value::as_str).is_none() {
-                        return Err(format!("event {i}: missing string {key:?}"));
-                    }
-                }
-                for key in ["ts", "dur"] {
-                    if e.get(key).and_then(Value::as_f64).is_none_or(|x| x < 0.0) {
-                        return Err(format!("event {i}: bad {key:?}"));
-                    }
-                }
-                for key in ["pid", "tid"] {
-                    if e.get(key).and_then(Value::as_u64).is_none() {
-                        return Err(format!("event {i}: missing {key:?}"));
-                    }
-                }
-            }
-            "i" => {
-                for key in ["name", "cat", "s"] {
-                    if e.get(key).and_then(Value::as_str).is_none() {
-                        return Err(format!("event {i}: instant missing string {key:?}"));
-                    }
-                }
-                if e.get("ts").and_then(Value::as_f64).is_none_or(|x| x < 0.0) {
-                    return Err(format!("event {i}: instant has bad \"ts\""));
-                }
-                for key in ["pid", "tid"] {
-                    if e.get(key).and_then(Value::as_u64).is_none() {
-                        return Err(format!("event {i}: instant missing {key:?}"));
-                    }
-                }
-            }
-            "C" => {
-                if e.get("name").and_then(Value::as_str).is_none() {
-                    return Err(format!("event {i}: counter missing name"));
-                }
-                if e.get("ts").and_then(Value::as_f64).is_none_or(|x| x < 0.0) {
-                    return Err(format!("event {i}: counter has bad \"ts\""));
-                }
-                if e.get("pid").and_then(Value::as_u64).is_none() {
-                    return Err(format!("event {i}: counter missing \"pid\""));
-                }
-                let args = e
-                    .get("args")
-                    .ok_or_else(|| format!("event {i}: counter missing args"))?;
-                let series = args
-                    .as_object()
-                    .ok_or_else(|| format!("event {i}: counter args not an object"))?;
-                if series.is_empty() || series.iter().any(|(_, v)| v.as_u64().is_none()) {
-                    return Err(format!("event {i}: counter args need integer series"));
-                }
-            }
-            "M" => {
-                if e.get("name").and_then(Value::as_str).is_none() {
-                    return Err(format!("event {i}: metadata missing name"));
-                }
-            }
+        // Per phase type: required string keys, non-negative time keys,
+        // and integer id keys.
+        let (strings, times, ids): (&[&str], &[&str], &[&str]) = match ph {
+            "X" => (&["name", "cat"], &["ts", "dur"], &["pid", "tid"]),
+            "i" => (&["name", "cat", "s"], &["ts"], &["pid", "tid"]),
+            "C" => (&["name"], &["ts"], &["pid"]),
+            "M" => (&["name"], &[], &[]),
             other => return Err(format!("event {i}: unexpected ph {other:?}")),
+        };
+        for key in strings {
+            if e.get(key).and_then(Value::as_str).is_none() {
+                return Err(format!("event {i}: {ph} missing string {key:?}"));
+            }
+        }
+        for key in times {
+            if e.get(key).and_then(Value::as_f64).is_none_or(|x| x < 0.0) {
+                return Err(format!("event {i}: {ph} has bad {key:?}"));
+            }
+        }
+        for key in ids {
+            if e.get(key).and_then(Value::as_u64).is_none() {
+                return Err(format!("event {i}: {ph} missing {key:?}"));
+            }
+        }
+        if ph == "C" {
+            let series = e.get("args").and_then(Value::as_object).unwrap_or(&[]);
+            if series.is_empty() || series.iter().any(|(_, v)| v.as_u64().is_none()) {
+                return Err(format!("event {i}: counter args need integer series"));
+            }
         }
     }
     Ok(events.len())
@@ -703,7 +357,7 @@ mod tests {
             ),
             (
                 "unknown reason",
-                r#"{"type":"collection-begin","collection":1,"plan":"x","reason":"bored","major":false,"depth":0,"start_cycles":0}"#,
+                r#"{"type":"collection-begin","collection":1,"plan":"semispace","reason":"bored","major":false,"depth":0,"start_cycles":0}"#,
             ),
             (
                 "survived > copied",
@@ -767,7 +421,7 @@ mod tests {
             ),
             (
                 "zero ttsp should be omitted",
-                r#"{"type":"collection-begin","collection":1,"plan":"x","reason":"forced","major":false,"depth":0,"start_cycles":0,"ttsp_cycles":0}"#,
+                r#"{"type":"collection-begin","collection":1,"plan":"semispace","reason":"forced","major":false,"depth":0,"start_cycles":0,"ttsp_cycles":0}"#,
             ),
             (
                 "unknown degradation trigger",
@@ -831,7 +485,7 @@ mod tests {
     fn jsonl_document_checks_bracketing_and_phase_sums() {
         let ok = "\
 {\"type\":\"meta\",\"plan\":\"p\",\"bench\":\"b\",\"clock_hz\":1,\"sites\":[]}\n\
-{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"p\",\"reason\":\"forced\",\"major\":false,\"depth\":0,\"start_cycles\":0}\n\
+{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"semispace\",\"reason\":\"forced\",\"major\":false,\"depth\":0,\"start_cycles\":0}\n\
 {\"type\":\"phase\",\"collection\":1,\"phase\":\"setup\",\"cycles\":2,\"wall_ns\":0}\n\
 {\"type\":\"phase\",\"collection\":1,\"phase\":\"cheney-copy\",\"cycles\":3,\"wall_ns\":0}\n\
 {\"type\":\"collection-end\",\"collection\":1,\"major\":false,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0,\"size_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"depth_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n";
@@ -847,10 +501,29 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_document_needs_exactly_one_leading_meta_line() {
+        let meta =
+            "{\"type\":\"meta\",\"plan\":\"p\",\"bench\":\"b\",\"clock_hz\":1,\"sites\":[]}\n";
+        let promote =
+            "{\"type\":\"site-promote\",\"collection\":1,\"site\":1,\"survival_permille\":900}\n";
+        assert_eq!(validate_jsonl(&format!("{meta}{promote}")).unwrap(), 2);
+        // A leading blank line does not excuse a missing meta line.
+        assert!(validate_jsonl(&format!("\n{promote}"))
+            .unwrap_err()
+            .contains("expected meta line"));
+        assert!(validate_jsonl(&format!("{meta}{promote}{meta}"))
+            .unwrap_err()
+            .contains("second meta line"));
+        assert!(validate_jsonl(&meta.replace(":1,", ":0,"))
+            .unwrap_err()
+            .contains("clock rate"));
+    }
+
+    #[test]
     fn jsonl_document_checks_census_placement() {
         let meta =
             "{\"type\":\"meta\",\"plan\":\"p\",\"bench\":\"b\",\"clock_hz\":1,\"sites\":[]}\n";
-        let gc_begin = "{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"p\",\"reason\":\"forced\",\"major\":false,\"depth\":0,\"start_cycles\":0}\n";
+        let gc_begin = "{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"semispace\",\"reason\":\"forced\",\"major\":false,\"depth\":0,\"start_cycles\":0}\n";
         let gc_phase = "{\"type\":\"phase\",\"collection\":1,\"phase\":\"setup\",\"cycles\":5,\"wall_ns\":0}\n";
         let gc_end = "{\"type\":\"collection-end\",\"collection\":1,\"major\":false,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0,\"size_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"depth_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n";
         let census = "{\"type\":\"heap-census\",\"collection\":1,\"pretenured_sites\":0,\"spaces\":[{\"space\":\"semispace\",\"used_words\":0,\"reserved_words\":64,\"chunks\":1}]}\n";
@@ -874,7 +547,7 @@ mod tests {
     fn jsonl_document_checks_degradation_bracketing() {
         let meta =
             "{\"type\":\"meta\",\"plan\":\"p\",\"bench\":\"b\",\"clock_hz\":1,\"sites\":[]}\n";
-        let gc_begin = "{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"p\",\"reason\":\"forced\",\"major\":false,\"depth\":0,\"start_cycles\":0}\n";
+        let gc_begin = "{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"semispace\",\"reason\":\"forced\",\"major\":false,\"depth\":0,\"start_cycles\":0}\n";
         let gc_phase = "{\"type\":\"phase\",\"collection\":1,\"phase\":\"setup\",\"cycles\":5,\"wall_ns\":0}\n";
         let gc_end = "{\"type\":\"collection-end\",\"collection\":1,\"major\":false,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0,\"size_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"depth_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n";
         let deg_begin = "{\"type\":\"degradation-begin\",\"collection\":1,\"trigger\":\"watchdog\",\"workers\":4,\"workers_lost\":1}\n";
@@ -920,7 +593,7 @@ mod tests {
         assert_eq!(validate_jsonl(&ok).unwrap(), 5);
 
         // A collection triggered by the ladder nests inside the episode.
-        let gc_begin = "{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"p\",\"reason\":\"alloc-failure\",\"major\":true,\"depth\":0,\"start_cycles\":0}\n";
+        let gc_begin = "{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"semispace\",\"reason\":\"alloc-failure\",\"major\":true,\"depth\":0,\"start_cycles\":0}\n";
         let gc_phase = "{\"type\":\"phase\",\"collection\":1,\"phase\":\"setup\",\"cycles\":5,\"wall_ns\":0}\n";
         let gc_end = "{\"type\":\"collection-end\",\"collection\":1,\"major\":true,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0,\"size_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"depth_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n";
         let nested = format!("{meta}{begin}{gc_begin}{gc_phase}{gc_end}{rung}{rung2}{end}");
@@ -946,7 +619,7 @@ mod tests {
     fn chrome_validator_accepts_rendered_trace() {
         let events = [crate::Event::CollectionBegin(crate::CollectionBegin {
             collection: 1,
-            plan: "p",
+            plan: "semispace",
             reason: "forced",
             major: false,
             depth: 0,
